@@ -18,6 +18,7 @@
 package daemon
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -30,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 	"repro/internal/sodee"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -163,15 +163,6 @@ type Daemon struct {
 
 	mu    sync.Mutex
 	addrs map[int]string // member id → listen address
-	// doneJobs is the completion order of retained finished jobs; the
-	// jobs themselves live in the sharded table below.
-	doneJobs []uint64
-
-	// jobs holds running jobs plus the last maxRetainedJobs completed
-	// ones, so results stay queryable without the table growing forever
-	// on a long-lived daemon. Sharded: thousands of concurrent
-	// submit/wait clients touch disjoint jobs without queueing on d.mu.
-	jobs *shard.Map[*sodee.Job]
 
 	// watches tracks live event subscriptions so opUnwatch can cancel
 	// them and Stop can end them. Streams are keyed by the client-chosen
@@ -284,7 +275,6 @@ func New(cfg Config) (*Daemon, error) {
 		cluster: c,
 		node:    n,
 		addrs:   make(map[int]string),
-		jobs:    shard.NewMap[*sodee.Job](),
 		watches: make(map[watchKey]*watchEntry),
 		tapsIn:  make(map[int]*tapReorder),
 		tapsOut: make(map[int]func()),
@@ -543,10 +533,6 @@ func (d *Daemon) Join(seedAddr string) error {
 	return nil
 }
 
-// maxRetainedJobs bounds how many *completed* jobs stay queryable; the
-// oldest results are evicted first. Running jobs are never evicted.
-const maxRetainedJobs = 256
-
 // Submit starts a job on this node (local API; the remote path is
 // opSubmit). The job participates in AutoBalance like any other.
 func (d *Daemon) Submit(method string, args ...int64) (*sodee.Job, error) {
@@ -574,21 +560,6 @@ func (d *Daemon) submit(method string, chained bool, args ...int64) (*sodee.Job,
 	if err != nil {
 		return nil, err
 	}
-	d.jobs.Set(job.ID, job)
-	go func() {
-		job.Wait() //nolint:errcheck // retention bookkeeping only
-		d.mu.Lock()
-		d.doneJobs = append(d.doneJobs, job.ID)
-		var evict []uint64
-		for len(d.doneJobs) > maxRetainedJobs {
-			evict = append(evict, d.doneJobs[0])
-			d.doneJobs = d.doneJobs[1:]
-		}
-		d.mu.Unlock()
-		for _, id := range evict {
-			d.jobs.Delete(id)
-		}
-	}()
 	d.logf("sodd[%d]: job %d started (%s)", d.cfg.ID, job.ID, method)
 	return job, nil
 }
@@ -804,32 +775,21 @@ func (d *Daemon) handleWait(r *wire.Reader) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	job, ok := d.jobs.Get(jobID)
-	if !ok {
-		// Not submitted through this daemon — but this node may hold the
-		// job's re-homing shadow (it is the successor of the job's origin).
-		// A client whose origin died re-issues its Wait here, and the
-		// shadow completes with the redirected result.
-		job, ok = d.node.Mgr.Job(jobID)
-	}
+	// The manager answers for jobs started here and for re-homing shadows
+	// this node holds as successor of their origin: a client whose origin
+	// died re-issues its Wait here, and the shadow completes with the
+	// redirected result.
+	job, ok := d.node.Mgr.Job(jobID)
 	if !ok {
 		return nil, fmt.Errorf("daemon: no job %d", jobID)
 	}
 	w := wire.NewWriter(32)
-	finished := job.Done()
-	if !finished && timeoutMs > 0 {
-		done := make(chan struct{})
-		go func() {
-			job.Wait() //nolint:errcheck // result re-read below
-			close(done)
-		}()
-		select {
-		case <-done:
-			finished = true
-		case <-time.After(time.Duration(timeoutMs) * time.Millisecond):
-		}
+	if !job.Done() && timeoutMs > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(timeoutMs)*time.Millisecond)
+		job.WaitContext(ctx) //nolint:errcheck // outcome re-read below
+		cancel()
 	}
-	if finished {
+	if job.Done() {
 		// A zero timeout is the "is it done?" probe: it must answer from
 		// the job's state, never lose a race against an already-expired
 		// timer.
@@ -913,16 +873,15 @@ func (d *Daemon) handleWatch(from int, r *wire.Reader) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	bus := d.node.Mgr.Events()
-	if !bus.Known(jobID) {
-		return nil, fmt.Errorf("daemon: no job %d", jobID)
-	}
 	select {
 	case <-d.stopCh:
 		return nil, fmt.Errorf("daemon: shutting down")
 	default:
 	}
-	ch, cancel := bus.Subscribe(jobID)
+	ch, cancel, ok := d.node.Mgr.Events().Subscribe(jobID)
+	if !ok {
+		return nil, fmt.Errorf("daemon: no job %d", jobID)
+	}
 	key := watchKey{peer: from, gen: gen}
 	entry := &watchEntry{job: jobID, cancel: cancel}
 	d.watchMu.Lock()

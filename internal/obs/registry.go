@@ -113,6 +113,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
+	gaugeFns map[string]func() int64
 	hists    map[string]*Histogram
 }
 
@@ -121,6 +122,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
+		gaugeFns: make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -147,6 +149,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// GaugeFunc registers a gauge read from fn at every Snapshot — for sizes
+// the owner already tracks, so no hot path pays to mirror them into a
+// settable gauge. Registering a name again replaces its function. fn must
+// not call back into the registry.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFns[name] = fn
 }
 
 // Histogram returns (registering on first use) the histogram named name
@@ -202,6 +214,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
+	}
+	for name, fn := range r.gaugeFns {
+		s.Gauges[name] = fn()
 	}
 	for name, h := range r.hists {
 		hs := HistSnapshot{

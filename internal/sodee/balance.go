@@ -206,16 +206,17 @@ func (m *Manager) PeerSignals() []policy.Signals {
 }
 
 // RunningJobs snapshots the jobs whose thread is currently local and
-// unfinished — the migratable population, in start order.
+// unfinished — the migratable population, in start order. It scans the
+// live-job table only: finished jobs have already been retired from it.
 func (m *Manager) RunningJobs() []*Job {
 	jobs := m.jobs.Values()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 	out := jobs[:0]
 	for _, j := range jobs {
 		if !j.Done() && j.migratable() {
 			out = append(out, j)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

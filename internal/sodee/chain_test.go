@@ -118,7 +118,7 @@ func TestMigrateChainThreeStagePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := origin.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := origin.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	chainUntilPlanned(t, origin.Mgr, job, twoLinkPlan(2, 3, 1))
@@ -180,7 +180,7 @@ func TestChainLocalTailKeepsPinnedFramesHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := origin.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := origin.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	chainUntilPlanned(t, origin.Mgr, job, func(frames []policy.FrameSignal) (policy.ChainPlan, error) {
@@ -232,7 +232,7 @@ func TestChainPlantDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := origin.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := origin.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	chainUntilPlanned(t, origin.Mgr, job, twoLinkPlan(2, 3, 1))
@@ -281,7 +281,7 @@ func TestChainPlannerDrivenBalancer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := origin.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := origin.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	res, err := job.Wait()
@@ -441,7 +441,7 @@ func TestChainChaosMidChainCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, cancel := origin.Mgr.Events().Subscribe(job.ID)
+			ch, cancel, _ := origin.Mgr.Events().Subscribe(job.ID)
 			defer cancel()
 
 			// Plant [stage1,main] on node 3, ship [stage2] to node 2...

@@ -404,7 +404,7 @@ func TestSwarmChaosWatchedCrash(t *testing.T) {
 					t.Fatal(jerr)
 				}
 				jobs[i] = j
-				ch, cancel := home.Mgr.Events().Subscribe(j.ID)
+				ch, cancel, _ := home.Mgr.Events().Subscribe(j.ID)
 				watchWG.Add(1)
 				go func(i int, ch <-chan sodee.JobEvent, cancel func()) {
 					defer watchWG.Done()
@@ -555,7 +555,7 @@ func TestChaosOriginPermanentDeath(t *testing.T) {
 			verdicts := make([]watchVerdict, jobsN)
 			var watchWG sync.WaitGroup
 			for i, j := range jobs {
-				ch, cancel := succ.Mgr.Events().Subscribe(j.ID)
+				ch, cancel, _ := succ.Mgr.Events().Subscribe(j.ID)
 				watchWG.Add(1)
 				go func(i int, ch <-chan sodee.JobEvent, cancel func()) {
 					defer watchWG.Done()

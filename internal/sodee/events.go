@@ -191,6 +191,11 @@ func (e JobEvent) String() string {
 // forwarding and the daemon's control-plane streaming share the format).
 func EncodeJobEvent(e JobEvent) []byte {
 	w := wire.NewWriter(64)
+	writeJobEvent(w, e)
+	return w.Bytes()
+}
+
+func writeJobEvent(w *wire.Writer, e JobEvent) {
 	w.Uvarint(e.Job)
 	w.Varint(int64(e.Origin))
 	w.Uvarint(e.Seq)
@@ -204,7 +209,6 @@ func EncodeJobEvent(e JobEvent) []byte {
 	w.Varint(int64(e.SegOf))
 	w.Varint(e.Result)
 	w.Blob([]byte(e.Err))
-	return w.Bytes()
 }
 
 // DecodeJobEvent parses a wire-format event. The Seq survives for
@@ -212,6 +216,11 @@ func EncodeJobEvent(e JobEvent) []byte {
 // assigns its own publish order regardless.
 func DecodeJobEvent(payload []byte) (JobEvent, error) {
 	r := wire.NewReader(payload)
+	e := readJobEvent(r)
+	return e, r.Err()
+}
+
+func readJobEvent(r *wire.Reader) JobEvent {
 	e := JobEvent{
 		Job:    r.Uvarint(),
 		Origin: int(r.Varint()),
@@ -227,25 +236,31 @@ func DecodeJobEvent(payload []byte) (JobEvent, error) {
 		Result: r.Varint(),
 	}
 	e.Err = string(r.Blob())
-	return e, r.Err()
+	return e
 }
 
 // Bus bounds: how many events one job may accumulate (a job's stream is
 // naturally short — start, a hop-budget's worth of migrations, flush,
-// completion — so the cap only guards against pathological loops), and
-// how many jobs' histories stay replayable before the oldest is evicted
-// (mirrors the daemon's completed-job retention).
+// completion — so the cap only guards against pathological loops). How
+// many jobs' histories stay replayable is RetainedJobs, the same bound
+// the manager's finished-job FIFO keeps, so Watch and Wait forget a job
+// at about the same point.
 const (
 	maxEventsPerJob = 64
-	maxTrackedJobs  = 512
+	// evictSlack is the headroom above RetainedJobs before an eviction
+	// pass runs. A pass scans the whole first-seen order, so running one
+	// per new job once the bound is full would cost O(RetainedJobs) per
+	// publish; letting a quarter more accumulate first makes it amortised
+	// O(1).
+	evictSlack = RetainedJobs / 4
 	// maxPinnedJobs is the hard ceiling on retained histories. Retention
-	// pressure above maxTrackedJobs discards *ended* streams only — a job
+	// pressure above RetainedJobs discards *ended* streams only — a job
 	// still running must stay Known, or a submit-heavy burst (more than
-	// maxTrackedJobs jobs in flight at one node) would evict live jobs
+	// RetainedJobs jobs in flight at one node) would evict live jobs
 	// before their watchers attach. Live streams are pinned until the
 	// total crosses this ceiling, where memory safety wins and the oldest
 	// go regardless.
-	maxPinnedJobs = 8 * maxTrackedJobs
+	maxPinnedJobs = 8 * RetainedJobs
 	// jobRingCap bounds a per-job subscriber's pending ring. It must
 	// exceed maxEventsPerJob so a history replay always fits.
 	jobRingCap = 2 * maxEventsPerJob
@@ -469,12 +484,19 @@ type Bus struct {
 	obsCoalesced *obs.Counter
 	obsEvicted   *obs.Counter
 
-	mu   sync.Mutex
-	seq  uint64
-	hist map[uint64][]JobEvent
-	// order is the first-seen order of jobs in hist, for eviction.
-	order []uint64
-	subs  map[uint64]map[*busSub]struct{}
+	mu  sync.Mutex
+	seq uint64
+	// hist holds the events of streams still running; ended holds each
+	// finished stream's history packed back to back in the wire encoding.
+	// A packed event costs about 30 bytes instead of a JobEvent's 136, so
+	// RetainedJobs ended histories stay cheap; a replay decodes them.
+	hist  map[uint64][]JobEvent
+	ended map[uint64][]byte
+	// order is the first-seen order of jobs in hist and ended, for eviction;
+	// evictAt is the order length that triggers the next eviction pass.
+	order   []uint64
+	evictAt int
+	subs    map[uint64]map[*busSub]struct{}
 	// all holds the firehose subscriptions (SubscribeAll): every event
 	// published here, whatever its job.
 	all map[*busSub]struct{}
@@ -493,7 +515,9 @@ type Bus struct {
 func NewBus(origin int) *Bus {
 	return &Bus{
 		origin:  origin,
+		evictAt: RetainedJobs + evictSlack,
 		hist:    make(map[uint64][]JobEvent),
+		ended:   make(map[uint64][]byte),
 		subs:    make(map[uint64]map[*busSub]struct{}),
 		all:     make(map[*busSub]struct{}),
 		shadows: make(map[uint64]map[*busSub]struct{}),
@@ -523,20 +547,20 @@ func (b *Bus) Publish(e JobEvent) {
 	}
 	e.Origin = b.origin
 	b.mu.Lock()
-	h, known := b.hist[e.Job]
-	if len(h) > 0 && h[len(h)-1].Terminal() {
+	if _, done := b.ended[e.Job]; done {
 		b.mu.Unlock()
 		return
 	}
+	h, known := b.hist[e.Job]
 	b.seq++
 	e.Seq = b.seq
 	if !known {
-		b.order = append(b.order, e.Job)
-		if len(b.order) > maxTrackedJobs {
-			b.evictLocked()
-		}
+		b.trackLocked(e.Job)
 	}
-	if len(h) < maxEventsPerJob || e.Terminal() {
+	switch {
+	case e.Terminal():
+		b.endLocked(e.Job, append(h, e))
+	case len(h) < maxEventsPerJob:
 		b.hist[e.Job] = append(h, e)
 	}
 	// First real event for a re-homed job: promote its shadow. Parked
@@ -572,17 +596,40 @@ func (b *Bus) Publish(e JobEvent) {
 	b.mu.Unlock()
 }
 
-// evictLocked sheds retained histories down to maxTrackedJobs, oldest
+// endLocked retires a stream's complete history, terminal last, from the
+// live table to the packed one. Callers hold b.mu.
+func (b *Bus) endLocked(job uint64, h []JobEvent) {
+	w := wire.NewWriter(32 * len(h))
+	for _, e := range h {
+		writeJobEvent(w, e)
+	}
+	b.ended[job] = append([]byte(nil), w.Bytes()...) // exact size: retained for long
+	delete(b.hist, job)
+}
+
+// trackLocked appends a newly seen job to the eviction order, running an
+// eviction pass once the order has outgrown its slack. Callers hold b.mu.
+func (b *Bus) trackLocked(job uint64) {
+	b.order = append(b.order, job)
+	if len(b.order) > b.evictAt {
+		b.evictLocked()
+		// The next pass waits for another evictSlack arrivals, even when
+		// pinned live streams kept this one from reaching the bound.
+		b.evictAt = max(len(b.order), RetainedJobs) + evictSlack
+	}
+}
+
+// evictLocked sheds retained histories down to RetainedJobs, oldest
 // first, skipping streams that have not ended — a live job must stay
 // replayable (and Known) however many younger jobs pile in behind it.
 // Only past maxPinnedJobs are live streams evicted too. Callers hold b.mu.
 func (b *Bus) evictLocked() {
-	need := len(b.order) - maxTrackedJobs
+	need := len(b.order) - RetainedJobs
 	kept := b.order[:0]
 	for i, id := range b.order {
-		h := b.hist[id]
-		ended := len(h) > 0 && h[len(h)-1].Terminal()
+		_, ended := b.ended[id]
 		if need > 0 && (ended || len(b.order)-i > maxPinnedJobs) {
+			delete(b.ended, id)
 			delete(b.hist, id)
 			need--
 			continue
@@ -599,11 +646,14 @@ func (b *Bus) evictLocked() {
 func (b *Bus) Known(job uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.hist[job]; ok {
-		return true
-	}
-	_, ok := b.shadows[job]
-	return ok
+	return b.knownLocked(job)
+}
+
+func (b *Bus) knownLocked(job uint64) bool {
+	_, live := b.hist[job]
+	_, ended := b.ended[job]
+	_, shadowed := b.shadows[job]
+	return live || ended || shadowed
 }
 
 // RegisterShadow marks job as re-homed here: Known starts answering true
@@ -642,13 +692,11 @@ func (b *Bus) DischargeShadow(job uint64, terminal JobEvent) {
 	}
 	b.seq++
 	terminal.Seq = b.seq
-	if _, known := b.hist[job]; !known {
-		b.order = append(b.order, job)
-		if len(b.order) > maxTrackedJobs {
-			b.evictLocked()
-		}
+	h, known := b.hist[job]
+	if !known {
+		b.trackLocked(job)
 	}
-	b.hist[job] = append(b.hist[job], terminal)
+	b.endLocked(job, append(h, terminal))
 	b.mu.Unlock()
 	for s := range sh {
 		s.noteLag(1)
@@ -663,15 +711,28 @@ func (b *Bus) DischargeShadow(job uint64, terminal JobEvent) {
 // its non-terminal events are coalesced away (announced in-stream with an
 // EvLagged marker) while the terminal event is always preserved, so a
 // slow watcher still learns its job's outcome.
-func (b *Bus) Subscribe(job uint64) (<-chan JobEvent, func()) {
+//
+// The bool is false, and nothing is subscribed, for a job the bus does
+// not know (see Known). The check and the subscription share one lock: a
+// history evicted between a separate Known and Subscribe would otherwise
+// leave a stream that never ends.
+func (b *Bus) Subscribe(job uint64) (<-chan JobEvent, func(), bool) {
+	b.mu.Lock()
+	if !b.knownLocked(job) {
+		b.mu.Unlock()
+		return nil, nil, false
+	}
 	s := newBusSub(jobRingCap, JobEvent{Job: job, Origin: b.origin}, true, false)
 	s.obsCoalesced, s.obsEvicted = b.obsCoalesced, b.obsEvicted
-	b.mu.Lock()
+	// Replays cannot overflow: the ring's cap exceeds maxEventsPerJob.
 	h := b.hist[job]
 	for _, e := range h {
-		s.enqueue(e) // cannot overflow: ring cap > maxEventsPerJob
+		s.enqueue(e)
 	}
-	ended := len(h) > 0 && h[len(h)-1].Terminal()
+	packed, ended := b.ended[job]
+	for r := wire.NewReader(packed); r.Remaining() > 0 && r.Err() == nil; {
+		s.enqueue(readJobEvent(r))
+	}
 	switch {
 	case ended:
 	case len(h) == 0 && b.shadows[job] != nil:
@@ -702,7 +763,7 @@ func (b *Bus) Subscribe(job uint64) (<-chan JobEvent, func()) {
 		b.mu.Unlock()
 		s.stop()
 	}
-	return s.out, cancel
+	return s.out, cancel, true
 }
 
 // SubscribeAll returns a firehose of every event published to this bus

@@ -33,7 +33,7 @@ func TestBusReplayLiveAndTerminal(t *testing.T) {
 		t.Fatalf("Known: got %v/%v, want true/false", b.Known(7), b.Known(8))
 	}
 
-	ch, cancel := b.Subscribe(7)
+	ch, cancel, _ := b.Subscribe(7)
 	defer cancel()
 	// Replayed history arrives first, in publish order, with seqs.
 	first, second := <-ch, <-ch
@@ -54,7 +54,7 @@ func TestBusReplayLiveAndTerminal(t *testing.T) {
 
 	// A fresh subscription replays the full (terminal-capped) history and
 	// closes immediately.
-	ch2, cancel2 := b.Subscribe(7)
+	ch2, cancel2, _ := b.Subscribe(7)
 	defer cancel2()
 	replay := collectUntilClosed(t, ch2, 5*time.Second)
 	if len(replay) != 3 || replay[2].Kind != sodee.EvCompleted {
@@ -65,7 +65,7 @@ func TestBusReplayLiveAndTerminal(t *testing.T) {
 func TestBusCancelIsIdempotent(t *testing.T) {
 	b := sodee.NewBus(1)
 	b.Publish(sodee.JobEvent{Job: 1, Kind: sodee.EvStarted})
-	ch, cancel := b.Subscribe(1)
+	ch, cancel, _ := b.Subscribe(1)
 	<-ch // replayed start
 	cancel()
 	cancel() // second cancel must not panic
@@ -76,10 +76,14 @@ func TestBusCancelIsIdempotent(t *testing.T) {
 	b.Publish(sodee.JobEvent{Job: 1, Kind: sodee.EvCompleted})
 }
 
+// TestBusEvictsOldestEndedJobs: ended histories are shed oldest first,
+// in passes that wait for a quarter of headroom above the bound, and the
+// newest RetainedJobs always stay replayable.
 func TestBusEvictsOldestEndedJobs(t *testing.T) {
 	b := sodee.NewBus(1)
 	const extra = 10
-	for i := 0; i < 512+extra; i++ {
+	total := sodee.RetainedJobs + sodee.RetainedJobs/4 + extra
+	for i := 0; i < total; i++ {
 		id := uint64(i + 1)
 		b.Publish(sodee.JobEvent{Job: id, Kind: sodee.EvStarted})
 		b.Publish(sodee.JobEvent{Job: id, Kind: sodee.EvCompleted})
@@ -89,8 +93,10 @@ func TestBusEvictsOldestEndedJobs(t *testing.T) {
 			t.Fatalf("ended job %d should have been evicted", i+1)
 		}
 	}
-	if !b.Known(512 + extra) {
-		t.Error("newest job evicted")
+	for id := total - sodee.RetainedJobs + 1; id <= total; id++ {
+		if !b.Known(uint64(id)) {
+			t.Fatalf("job %d is among the newest %d but was evicted", id, sodee.RetainedJobs)
+		}
 	}
 }
 
@@ -101,7 +107,7 @@ func TestBusEvictsOldestEndedJobs(t *testing.T) {
 func TestBusPinsLiveJobs(t *testing.T) {
 	b := sodee.NewBus(1)
 	b.Publish(sodee.JobEvent{Job: 1, Kind: sodee.EvStarted}) // live: no terminal
-	for i := 0; i < 2*512; i++ {
+	for i := 0; i < 2*sodee.RetainedJobs; i++ {
 		id := uint64(1000 + i)
 		b.Publish(sodee.JobEvent{Job: id, Kind: sodee.EvStarted})
 		b.Publish(sodee.JobEvent{Job: id, Kind: sodee.EvCompleted})
@@ -109,9 +115,10 @@ func TestBusPinsLiveJobs(t *testing.T) {
 	if !b.Known(1) {
 		t.Fatal("live job evicted by ended-stream pressure")
 	}
-	// Only past the hard pinning ceiling do live streams go too.
+	// Only past the hard pinning ceiling (plus one pass's headroom) do
+	// live streams go too.
 	b2 := sodee.NewBus(1)
-	const ceiling = 8 * 512
+	const ceiling = 8*sodee.RetainedJobs + sodee.RetainedJobs/4
 	for i := 0; i < ceiling+100; i++ {
 		b2.Publish(sodee.JobEvent{Job: uint64(i + 1), Kind: sodee.EvStarted})
 	}
@@ -135,7 +142,7 @@ func TestBusShadowDischargeAndLateSubscriber(t *testing.T) {
 	if !b.Known(9) {
 		t.Fatal("shadow not Known before any event")
 	}
-	early, cancelEarly := b.Subscribe(9)
+	early, cancelEarly, _ := b.Subscribe(9)
 	defer cancelEarly()
 
 	term := sodee.JobEvent{Job: 9, Kind: sodee.EvCompleted, Result: 7}
@@ -152,7 +159,7 @@ func TestBusShadowDischargeAndLateSubscriber(t *testing.T) {
 	if !b.Known(9) {
 		t.Error("discharged shadow no longer Known")
 	}
-	late, cancelLate := b.Subscribe(9)
+	late, cancelLate, _ := b.Subscribe(9)
 	defer cancelLate()
 	replay := collectUntilClosed(t, late, 5*time.Second)
 	if len(replay) != 1 || replay[0].Kind != sodee.EvCompleted || replay[0].Result != 7 {
@@ -161,7 +168,7 @@ func TestBusShadowDischargeAndLateSubscriber(t *testing.T) {
 
 	// A second discharge is a no-op: the history keeps exactly one terminal.
 	b.DischargeShadow(9, term)
-	again, cancelAgain := b.Subscribe(9)
+	again, cancelAgain, _ := b.Subscribe(9)
 	defer cancelAgain()
 	if replay := collectUntilClosed(t, again, 5*time.Second); len(replay) != 1 {
 		t.Fatalf("after duplicate discharge, replay = %+v, want one terminal", replay)
@@ -175,7 +182,7 @@ func TestBusShadowDischargeAndLateSubscriber(t *testing.T) {
 func TestBusSlowWatcherCoalesces(t *testing.T) {
 	b := sodee.NewBus(3)
 	b.Publish(sodee.JobEvent{Job: 1, Kind: sodee.EvStarted})
-	ch, cancel := b.Subscribe(1)
+	ch, cancel, _ := b.Subscribe(1)
 	defer cancel()
 
 	// Publish far more non-terminal events than the subscriber ring holds,
@@ -318,7 +325,7 @@ func TestManualMigrationEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := home.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := home.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
@@ -376,7 +383,7 @@ func TestFailedMigrationEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := home.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := home.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	<-g.reached
@@ -437,7 +444,7 @@ func TestMultiHopEventsForwardedToOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := home.Mgr.Events().Subscribe(job.ID)
+	ch, cancel, _ := home.Mgr.Events().Subscribe(job.ID)
 	defer cancel()
 
 	migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {

@@ -158,9 +158,9 @@ func (m *Manager) handleRehome(from int, payload []byte) ([]byte, error) {
 		// The event stream carries the result's integer projection only, so
 		// that is what a successor-side Wait can return; the terminal is
 		// suppressed from this bus's history (quiet) because the stream it
-		// belongs to terminated at the origin. The shadow Job stays in
-		// m.jobs, like any completed origin job, so late Waits still find
-		// the result.
+		// belongs to terminated at the origin. Completion retires the
+		// shadow into the finished FIFO, like any completed origin job, so
+		// late Waits still find the result.
 		var jerr error
 		if ev.Err != "" {
 			jerr = errors.New(ev.Err)

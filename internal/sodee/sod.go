@@ -238,6 +238,7 @@ func (j *Job) complete(res value.Value, err error) {
 			// result to the successor itself.
 			j.mgr.sendDischarge(j.ID, fb, res, err)
 		}
+		j.mgr.retire(j)
 	}
 }
 
@@ -297,7 +298,12 @@ type Manager struct {
 	// concurrent clients must not serialize on one mutex. m.mu below
 	// guards only the cold bookkeeping.
 	routes *shard.Map[*route]
-	jobs   *shard.Map[*Job]
+	// jobs is the live-job table: local jobs running, parked or migrated
+	// away awaiting their result, migrated-in wrappers, and undischarged
+	// re-homing shadows. A finished job moves to the finished FIFO, so the
+	// balancer's scans cost the live population, not the node's history.
+	jobs     *shard.Map[*Job]
+	finished jobRing
 	// nextToken allocates job ids and route tokens lock-free.
 	nextToken atomic.Uint64
 
@@ -531,6 +537,8 @@ func newManager(n *Node) *Manager {
 			m.adoptOrigin(ev.Node)
 		}
 	})
+	n.Obs.GaugeFunc("sod_jobs_live", func() int64 { return int64(m.jobs.Len()) })
+	n.Obs.GaugeFunc("sod_jobs_retained", func() int64 { return int64(m.finished.len()) })
 	m.bus.SetObs(
 		n.Obs.Counter("sod_events_published_total"),
 		n.Obs.Counter("sod_events_coalesced_total"),
@@ -587,6 +595,7 @@ func (m *Manager) handleTraceSpan(from int, payload []byte) ([]byte, error) {
 func (m *Manager) reset() {
 	m.routes.Clear()
 	m.jobs.Clear()
+	m.finished.clear()
 	m.migInFlight.Clear()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -764,14 +773,82 @@ func (m *Manager) startJob(qualifiedMethod string, chained bool, args ...value.V
 	return job, nil
 }
 
-// Job returns the handle of a job started on this node (migrated-in
-// wrappers are excluded: their identity belongs to their origin).
+// Job returns the handle of a job started on this node, or shadowed here
+// for re-homing (migrated-in wrappers are excluded: their identity belongs
+// to their origin). A finished job stays answerable until RetainedJobs
+// younger ones have finished after it.
 func (m *Manager) Job(id uint64) (*Job, bool) {
-	j, ok := m.jobs.Get(id)
-	if !ok || j.Remote() {
-		return nil, false
+	if j, ok := m.jobs.Get(id); ok {
+		if j.Remote() {
+			return nil, false
+		}
+		return j, true
 	}
-	return j, true
+	return m.finished.get(id)
+}
+
+// RetainedJobs bounds how many finished jobs a node keeps answerable:
+// Manager.Job (and so Wait) from the finished FIFO, Watch from the event
+// bus's ended histories. One bound for both, so the two surfaces forget a
+// job at about the same point; far above the thousand-client swarm, so a
+// client that submits and then waits or watches always finds its job.
+const RetainedJobs = 4096
+
+// retire moves a finished non-remote job out of the live table into the
+// finished FIFO, and drops its own flush route if nothing consumed it (a
+// job that finished locally never does). The FIFO insert comes first: a
+// concurrent Job(id) looks in the live table, then the FIFO, so it finds
+// the job in one or the other throughout. The route under the job's id can
+// only be its own: ids are unique tokens, and a node never shadows its own
+// jobs.
+func (m *Manager) retire(j *Job) {
+	m.finished.add(j)
+	m.jobs.Delete(j.ID)
+	m.routes.Delete(j.ID)
+}
+
+// jobRing is the bounded FIFO of finished jobs. Once full, each insert
+// overwrites the oldest slot: O(1), never a rescan.
+type jobRing struct {
+	mu   sync.Mutex
+	ring []*Job
+	next int // oldest slot once the ring is full
+	byID map[uint64]*Job
+}
+
+func (r *jobRing) add(j *Job) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.byID == nil {
+		r.byID = make(map[uint64]*Job)
+	}
+	if len(r.ring) < RetainedJobs {
+		r.ring = append(r.ring, j)
+	} else {
+		delete(r.byID, r.ring[r.next].ID)
+		r.ring[r.next] = j
+		r.next = (r.next + 1) % RetainedJobs
+	}
+	r.byID[j.ID] = j
+}
+
+func (r *jobRing) get(id uint64) (*Job, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j, ok := r.byID[id]
+	return j, ok
+}
+
+func (r *jobRing) len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.byID)
+}
+
+func (r *jobRing) clear() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ring, r.next, r.byID = nil, 0, nil
 }
 
 // runAndWatch executes a job's local thread and completes the job — but

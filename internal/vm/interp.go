@@ -17,10 +17,12 @@ func (t *Thread) Run() {
 	}
 	t.state.Store(int32(ThreadRunning))
 	t.exec()
-	t.state.Store(int32(ThreadDone))
 	// A suspend request racing with completion must not leave the
-	// requester blocked.
+	// requester blocked: the Done transition and the pending check share
+	// t.mu with RequestSuspend, so a request either sees Done or is acked
+	// here.
 	t.mu.Lock()
+	t.state.Store(int32(ThreadDone))
 	if t.pending != nil {
 		close(t.pending.ack)
 		t.pending = nil

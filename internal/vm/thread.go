@@ -218,6 +218,11 @@ func (t *Thread) RequestSuspend() (<-chan struct{}, error) {
 	if !t.agent {
 		return nil, fmt.Errorf("vm: thread %d: no agent loaded; suspension unsupported", t.ID)
 	}
+	// The state is read under t.mu, which Run and park also hold for their
+	// Done and Parked transitions: a request that misses either transition
+	// is registered before it, and so acked by it.
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	switch t.State() {
 	case ThreadDone:
 		return nil, fmt.Errorf("vm: thread %d already done", t.ID)
@@ -226,8 +231,6 @@ func (t *Thread) RequestSuspend() (<-chan struct{}, error) {
 		close(ch)
 		return ch, nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.pending == nil {
 		t.pending = &suspendRequest{ack: make(chan struct{})}
 	}
@@ -261,8 +264,8 @@ func (t *Thread) park() bool {
 	req := t.pending
 	t.pending = nil
 	t.parking = false
-	t.mu.Unlock()
 	t.state.Store(int32(ThreadParked))
+	t.mu.Unlock()
 	if req != nil {
 		close(req.ack)
 	}

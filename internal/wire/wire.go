@@ -290,7 +290,7 @@ func (r *Reader) Float64Slice() []float64 {
 	if r.err != nil {
 		return nil
 	}
-	if n*8 > uint64(r.Remaining()) {
+	if n > uint64(r.Remaining())/8 { // n*8 would wrap for n ≥ 2⁶¹
 		r.fail(ErrCorrupt)
 		return nil
 	}

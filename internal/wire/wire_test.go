@@ -82,6 +82,20 @@ func TestCorruptLengthPrefix(t *testing.T) {
 	}
 }
 
+// A slice count whose byte size overflows uint64 must fail as corrupt,
+// not wrap past the length check and reach make.
+func TestFloat64SliceHugeCount(t *testing.T) {
+	for _, n := range []uint64{1 << 61, 1<<61 + 1, math.MaxUint64} {
+		w := NewWriter(16)
+		w.Uvarint(n)
+		w.Raw(make([]byte, 8))
+		r := NewReader(w.Bytes())
+		if vs := r.Float64Slice(); vs != nil || r.Err() == nil {
+			t.Errorf("count %d: got %d floats, err %v; want corrupt", n, len(vs), r.Err())
+		}
+	}
+}
+
 func TestExpect(t *testing.T) {
 	w := NewWriter(2)
 	w.Byte(0x42)

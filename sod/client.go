@@ -39,9 +39,9 @@ type Client interface {
 	// Without a chain-armed balancer the mark has no effect: the job
 	// balances like any ordinary submission.
 	SubmitChain(ctx context.Context, method string, args ...Value) (JobHandle, error)
-	// Job returns the handle of a previously submitted job (results of
-	// recently completed jobs remain queryable; daemons retain the last
-	// 256).
+	// Job returns the handle of a previously submitted job. A finished
+	// job stays queryable until sodee.RetainedJobs younger jobs have
+	// finished on the same node, on both surfaces.
 	Job(id uint64) (JobHandle, error)
 	// Members returns the connected node's view of the cluster: itself
 	// plus every peer its failure detector tracks.
@@ -263,11 +263,10 @@ func (cc *clusterClient) Stats(ctx context.Context) (ClusterStats, error) {
 }
 
 func (cc *clusterClient) Watch(ctx context.Context, jobID uint64) (<-chan JobEvent, error) {
-	bus := cc.n.Mgr.Events()
-	if !bus.Known(jobID) {
+	inner, cancel, ok := cc.n.Mgr.Events().Subscribe(jobID)
+	if !ok {
 		return nil, fmt.Errorf("sod: no job %d", jobID)
 	}
-	inner, cancel := bus.Subscribe(jobID)
 	return watchWithContext(ctx, inner, cancel), nil
 }
 

@@ -258,6 +258,92 @@ func TestConformanceJobLookup(t *testing.T) {
 	})
 }
 
+// TestConformanceRetentionBound: both surfaces answer Job, Wait and Watch
+// for a finished job until sodee.RetainedJobs younger jobs have finished
+// on the same node, and then all three forget it together — the daemon
+// keeps no retention of its own, and the in-process cluster does not keep
+// every job forever.
+func TestConformanceRetentionBound(t *testing.T) {
+	withClients(t, func(t *testing.T, f confFixture) {
+		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
+		defer cancel()
+		const iters = 10
+		run := func(seed int64) (uint64, error) {
+			h, err := f.client.Submit(ctx, "main", sod.Int(seed), sod.Int(iters))
+			if err != nil {
+				return 0, err
+			}
+			if _, err := h.Wait(ctx); err != nil {
+				return 0, fmt.Errorf("wait %d: %w", h.ID(), err)
+			}
+			return h.ID(), nil
+		}
+		retained := func(id uint64, seed int64) {
+			t.Helper()
+			want := workloads.CruncherExpected(seed, iters)
+			h, err := f.client.Job(id)
+			if err != nil {
+				t.Fatalf("Job(%d) of a retained job: %v", id, err)
+			}
+			if res, err := h.Wait(ctx); err != nil || res.I != want {
+				t.Fatalf("Wait(%d) = %v, %v; want %d", id, res.I, err, want)
+			}
+			ch, err := f.client.Watch(ctx, id)
+			if err != nil {
+				t.Fatalf("Watch(%d) of a retained job: %v", id, err)
+			}
+			var last sod.JobEvent
+			for ev := range ch {
+				last = ev
+			}
+			if last.Kind != sod.JobCompleted || last.Result != want {
+				t.Fatalf("Watch(%d) ended with %+v, want completion with %d", id, last, want)
+			}
+		}
+		evicted := func(id uint64) {
+			t.Helper()
+			if _, err := f.client.Job(id); err == nil {
+				t.Errorf("Job(%d) answered past the retention bound", id)
+			}
+			if _, err := f.client.Watch(ctx, id); err == nil {
+				t.Errorf("Watch(%d) answered past the retention bound", id)
+			}
+		}
+
+		old, err := run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained(old, 1)
+
+		// Enough younger jobs that the finished FIFO and, after at least
+		// one eviction pass, the bus's histories have both moved past old.
+		filler := sodee.RetainedJobs + sodee.RetainedJobs/4 + 1
+		const workers = 8
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < filler; i += workers {
+					if _, err := run(int64(i % 101)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		recent, err := run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained(recent, 2)
+		evicted(old)
+	})
+}
+
 func TestConformanceMembers(t *testing.T) {
 	withClients(t, func(t *testing.T, f confFixture) {
 		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
