@@ -11,7 +11,7 @@
 //	sodbench -table steal        # work stealing: push-only vs push+steal makespan
 //	sodbench -table workflow     # forward chains vs return-home on WAN links
 //	sodbench -table swarm        # control-plane load: 1k clients, crash mid-load
-//	sodbench -table wire         # migration wire format: full-state vs delta+streaming
+//	sodbench -table wire         # migration wire format: full-state vs delta
 //
 // The swarm table also writes BENCH_swarm.json (see -json/-out) and can
 // gate CI: -baseline FILE exits non-zero when sustained jobs/sec drops

@@ -182,7 +182,10 @@ func Table4(t2 []Table2Row) []Table4Row {
 
 // --- Table V: remote-object detection microbenchmark ---
 
-// Table5Row is one access type's cost across the three program variants.
+// Table5Row is one access type's cost across the three program variants:
+// wall-clock nanoseconds and interpreter instructions per loop iteration
+// (one access each). The instruction counts are exact, so they carry the
+// paper's claim independent of machine noise.
 type Table5Row struct {
 	Access        string
 	OriginalNs    float64
@@ -190,6 +193,10 @@ type Table5Row struct {
 	CheckingNs    float64
 	FaultSlowdown float64 // percent
 	CheckSlowdown float64 // percent
+
+	OriginalInstr float64
+	FaultingInstr float64
+	CheckingInstr float64
 }
 
 // Table5 measures field/static read/write loop costs on the original,
@@ -216,13 +223,13 @@ func Table5(iters int64) ([]Table5Row, error) {
 	}
 	var rows []Table5Row
 	for _, b := range benches {
-		times := map[string]float64{}
+		times, instrs := map[string]float64{}, map[string]float64{}
 		for name, vp := range variants {
-			ns, err := vp.measure(b.entry, b.objed, iters)
+			ns, in, err := vp.measure(b.entry, b.objed, iters)
 			if err != nil {
 				return nil, fmt.Errorf("table5 %s/%s: %w", b.name, name, err)
 			}
-			times[name] = ns
+			times[name], instrs[name] = ns, in
 		}
 		rows = append(rows, Table5Row{
 			Access:        b.name,
@@ -231,6 +238,9 @@ func Table5(iters int64) ([]Table5Row, error) {
 			CheckingNs:    times["check"],
 			FaultSlowdown: (times["fault"] - times["orig"]) / times["orig"] * 100,
 			CheckSlowdown: (times["check"] - times["orig"]) / times["orig"] * 100,
+			OriginalInstr: instrs["orig"],
+			FaultingInstr: instrs["fault"],
+			CheckingInstr: instrs["check"],
 		})
 	}
 	return rows, nil
@@ -245,14 +255,13 @@ func newVMProg(w *workloads.Workload, mode preprocess.Mode) *vmProg {
 	return &vmProg{w: w, mode: mode}
 }
 
-// measure times one loop entry and returns ns per iteration, taking the
-// best of three runs.
-func (vp *vmProg) measure(entry string, withObj bool, iters int64) (float64, error) {
+// measure runs one loop entry three times and returns the best ns per
+// iteration and the instructions executed per iteration.
+func (vp *vmProg) measure(entry string, withObj bool, iters int64) (ns, instr float64, err error) {
 	prog := vp.w.Prog
 	if vp.mode != preprocess.Mode(-1) {
 		prog = preprocess.MustPreprocess(prog, preprocess.Options{Mode: vp.mode, Restore: false})
 	}
-	best := 0.0
 	for rep := 0; rep < 3; rep++ {
 		v := vm.New(prog, 1, true)
 		workloads.BindCommon(v)
@@ -264,20 +273,20 @@ func (vp *vmProg) measure(entry string, withObj bool, iters int64) (float64, err
 			cid := prog.ClassByName("Bench")
 			obj, err := v.Heap.Alloc(cid, prog.NumInstanceFields(cid))
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			args = []value.Value{value.RefVal(obj), value.Int(iters)}
 		}
 		start := time.Now()
 		if _, err := v.RunMain(prog.MethodByName(entry), args...); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		if best == 0 || ns < best {
-			best = ns
+		if t := float64(time.Since(start).Nanoseconds()) / float64(iters); ns == 0 || t < ns {
+			ns = t
 		}
+		instr = float64(v.LiveInstructions()) / float64(iters)
 	}
-	return best, nil
+	return ns, instr, nil
 }
 
 // --- Fig 5: code-size comparison ---

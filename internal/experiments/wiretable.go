@@ -18,8 +18,8 @@ import (
 // The wire experiment measures what the migration fast path buys: the
 // same job ping-pongs between two nodes with whole-stack return-home
 // migrations, once with the wire capabilities forced to zero (every hop a
-// self-contained full-state message) and once with delta capture and
-// statics streaming on (the default). The first hop of a run is the cold
+// self-contained full-state message) and once with delta capture on
+// (the default). The first hop of a run is the cold
 // cost — it seeds the link's snapshot cache — and every later hop is the
 // warm repeat-hop cost the delta path exists to shrink. Both modes run on
 // the simulated Gigabit fabric and on real TCP loopback sockets.
@@ -34,7 +34,6 @@ type WireRow struct {
 	ColdLat   time.Duration // first hop capture→resume latency
 	WarmLat   time.Duration // median repeat-hop capture→resume latency
 	DeltaHits int64         // units sent as cache references (delta mode)
-	Streamed  int64         // migrations whose statics streamed
 }
 
 // WireReport is the committed benchmark artifact (BENCH_wire.json).
@@ -143,7 +142,6 @@ func wireTrips(c *sodee.Cluster, fabric, mode string, cfg WireConfig) (WireRow, 
 	}
 	for _, n := range []*sodee.Node{n1, n2} {
 		row.DeltaHits += n.Obs.Counter("sod_delta_hits_total").Value()
-		row.Streamed += n.Obs.Counter("sod_streamed_migrations_total").Value()
 	}
 	return row, nil
 }
@@ -271,13 +269,13 @@ func RenderWire(rep *WireReport) string {
 	var b strings.Builder
 	b.WriteString("\nWire — bytes per migration and capture→resume latency, full vs delta\n")
 	b.WriteString("(cold = first hop on an empty link cache; warm = median repeat hop)\n\n")
-	fmt.Fprintf(&b, "%-6s %-6s %6s %10s %10s %12s %12s %8s %8s\n",
-		"fabric", "mode", "trips", "cold", "warm", "cold lat", "warm lat", "hits", "stream")
+	fmt.Fprintf(&b, "%-6s %-6s %6s %10s %10s %12s %12s %8s\n",
+		"fabric", "mode", "trips", "cold", "warm", "cold lat", "warm lat", "hits")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "%-6s %-6s %6d %9dB %9dB %12s %12s %8d %8d\n",
+		fmt.Fprintf(&b, "%-6s %-6s %6d %9dB %9dB %12s %12s %8d\n",
 			r.Fabric, r.Mode, r.Trips, r.ColdBytes, r.WarmBytes,
 			r.ColdLat.Round(time.Microsecond), r.WarmLat.Round(time.Microsecond),
-			r.DeltaHits, r.Streamed)
+			r.DeltaHits)
 	}
 	fmt.Fprintf(&b, "\nwarm-hop reduction (sim, delta vs full): %.1f%%\n\n", rep.WarmReduction*100)
 	return b.String()

@@ -48,7 +48,7 @@ const (
 	KindStealGrant                       // work stealing: victim announces the job it is shipping
 	KindJobEvent                         // job lifecycle event forwarded to the job's origin node
 	KindTraceSpan                        // obs: batch of trace spans forwarded to the job's origin node
-	KindMigrateData                      // migration manager: streamed object/static payload for an announced migration
+	_                                    // retired (streamed-statics data message); reserved so later kinds keep their numbers
 	KindPing                             // membership: direct liveness probe (reply carries the target's incarnation)
 	KindPingReq                          // membership: indirect probe — ask a relay to ping an unreachable peer
 	KindRehome                           // origin re-homing: replicate/discard a job's origin state at its successor

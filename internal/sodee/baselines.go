@@ -209,10 +209,12 @@ func (m *Manager) handleProcMigrate(from int, payload []byte) ([]byte, error) {
 		m.routeResult(th, expect, dst, completion{})
 	}()
 	var restoreDur time.Duration
+	timeout := time.NewTimer(restoreTimeout)
+	defer timeout.Stop()
 	select {
 	case <-rc.done:
 		restoreDur = rc.restoredAt.Sub(restoreStart)
-	case <-time.After(10 * time.Second):
+	case <-timeout.C:
 		return nil, fmt.Errorf("sodee: process restoration timed out")
 	}
 

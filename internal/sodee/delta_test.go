@@ -1,8 +1,8 @@
 package sodee
 
-// Internal tests for the migration fast path: delta capture against the
-// per-link snapshot cache, statics streaming, capability negotiation and
-// the waiting guard that keeps a mid-stream job invisible to stealing.
+// Internal tests for the migration fast path (delta capture against the
+// per-link snapshot cache, capability negotiation) and for the guard that
+// keeps a job mid-restore invisible to stealing.
 
 import (
 	"sync"
@@ -138,8 +138,8 @@ func TestDeltaWarmLinkReducesBytes(t *testing.T) {
 	c, g := deltaCluster(t, []int{1, 2})
 	n1, n2 := c.Nodes[1], c.Nodes[2]
 	gossipCaps(t, c)
-	if caps := n1.Mgr.peerWireCaps(2); caps != capAll {
-		t.Fatalf("negotiated caps for node 2 = %#x, want %#x", caps, capAll)
+	if caps := n1.Mgr.peerWireCaps(2); caps != capDelta {
+		t.Fatalf("negotiated caps for node 2 = %#x, want %#x", caps, capDelta)
 	}
 
 	job, err := n1.Mgr.StartJob("Hot.crunch", value.Int(deltaSeed), value.Int(deltaIters))
@@ -187,15 +187,12 @@ func TestDeltaWarmLinkReducesBytes(t *testing.T) {
 	if n1.Mgr.met.deltaSaved.Value() <= 0 {
 		t.Error("sender recorded no bytes saved over a warm link")
 	}
-	if n1.Mgr.met.streamedMig.Value() == 0 {
-		t.Error("no migration used the streaming wire format")
-	}
 	if n1.Mgr.met.gossipPiggyback.Value() == 0 {
 		t.Error("no load report rode a migration")
 	}
 }
 
-// A peer that never advertised the delta/stream capabilities gets the
+// A peer that never advertised the delta capability gets the
 // self-contained full-state format, and the link caches stay empty.
 func TestWireCapsZeroFullState(t *testing.T) {
 	c, g := deltaCluster(t, []int{1, 2})
@@ -230,9 +227,6 @@ func TestWireCapsZeroFullState(t *testing.T) {
 	for id, n := range map[int]*Node{1: n1, 2: n2} {
 		if v := n.Mgr.met.deltaHits.Value(); v != 0 {
 			t.Errorf("node %d: deltaHits = %d with caps 0", id, v)
-		}
-		if v := n.Mgr.met.streamedMig.Value(); v != 0 {
-			t.Errorf("node %d: streamedMig = %d with caps 0", id, v)
 		}
 	}
 	if l := n1.Mgr.deltaCacheLen(2); l != 0 {
@@ -295,15 +289,18 @@ func TestDeltaCacheEvictedOnPeerDeath(t *testing.T) {
 	}
 }
 
-// While a streamed migration's statics are in flight, the restored job is
-// registered but not capturable: a concurrent steal request must be
-// denied, and the same request granted once the stream has been applied.
-func TestStealDeniedDuringStreamingRestore(t *testing.T) {
+// A migrated-in job joins the destination's job table only once its
+// breakpoint restore has resumed the last frame: a steal request that
+// lands mid-restore must be denied, and the same request granted once
+// the restore completes. Holding node 2's only modeled core keeps the
+// restore thread from executing, so the window stays open as long as the
+// test needs it.
+func TestStealDeniedDuringRestore(t *testing.T) {
 	c, g := deltaCluster(t, []int{1, 2, 3})
 	n1, n2, n3 := c.Nodes[1], c.Nodes[2], c.Nodes[3]
+	n2.VM.CPU = vm.NewCPUGate(1) // no thread has started on node 2 yet
 	gossipCaps(t, c)
 	n2.Mgr.EnableSteal(policy.Steal{}, policy.HopGate{Budget: 8, Cooldown: -1})
-	n1.Mgr.testStreamDelay = 200 * time.Millisecond
 
 	job, err := n1.Mgr.StartJob("Hot.crunch", value.Int(deltaSeed), value.Int(deltaIters))
 	if err != nil {
@@ -315,6 +312,7 @@ func TestStealDeniedDuringStreamingRestore(t *testing.T) {
 	}
 	migDone := make(chan out, 1)
 	<-g.reached
+	n2.VM.CPU.Acquire()
 	go func() {
 		mm, err := n1.Mgr.MigrateSOD(job, SODOptions{NFrames: WholeStack, Dest: 2, Flow: FlowReturnHome})
 		migDone <- out{mm, err}
@@ -322,30 +320,23 @@ func TestStealDeniedDuringStreamingRestore(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	close(g.release)
 
-	// Wait for the control message to land: the wrapper exists on node 2
-	// but is held out of the migratable population while its statics are
-	// still in flight.
+	// Wait for the migration to land: the restore thread exists on node 2
+	// but cannot run, so the restore has not resumed any frame.
 	deadline := time.Now().Add(5 * time.Second)
-	var seen bool
-	for time.Now().Before(deadline) {
-		if len(n2.Mgr.jobs.Values()) > 0 {
-			seen = true
-			break
+	for n2.VM.NumThreads() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("restore thread never appeared on the destination")
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	if !seen {
-		t.Fatal("wrapper never registered on the destination")
-	}
 	if js := n2.Mgr.RunningJobs(); len(js) != 0 {
-		t.Fatalf("mid-stream job is visible to the balancer: %d running jobs", len(js))
+		t.Fatalf("mid-restore job is visible to the balancer: %d running jobs", len(js))
 	}
 
 	// A decoy VM thread lifts node 2 over the steal watermarks without
 	// entering the job table, so the only possible grant candidate is the
-	// mid-stream wrapper.
-	prog := c.Prog
-	decoy, err := n2.VM.NewThread(prog.MethodByName("Hot.crunch"),
+	// job being restored.
+	decoy, err := n2.VM.NewThread(c.Prog.MethodByName("Hot.crunch"),
 		value.Int(1), value.Int(40_000_000))
 	if err != nil {
 		t.Fatal(err)
@@ -357,58 +348,38 @@ func TestStealDeniedDuringStreamingRestore(t *testing.T) {
 		t.Fatalf("steal request: %v", err)
 	}
 	if won {
-		t.Fatal("steal granted a job whose statics are still in flight")
+		t.Fatal("steal granted a job whose restore has not completed")
 	}
 
+	n2.VM.CPU.Release()
 	o := <-migDone
 	if o.err != nil {
-		t.Fatalf("streamed migration: %v", o.err)
+		t.Fatalf("migration: %v", o.err)
 	}
-	// Stream applied: the same request must now win the wrapper.
-	w := awaitWrapper(t, n2.Mgr)
-	if w == nil {
-		t.Fatal("wrapper not migratable after stream applied")
-	}
+	// Restore complete: the same request must now win the job.
+	awaitWrapper(t, n2.Mgr)
 	won, err = n3.Mgr.RequestSteal(2, 0)
 	if err != nil {
-		t.Fatalf("post-stream steal request: %v", err)
+		t.Fatalf("post-restore steal request: %v", err)
 	}
 	if !won {
-		t.Fatal("steal denied after the stream was applied")
+		t.Fatal("steal denied after the restore completed")
+	}
+	// The decoy has served its purpose; stop it rather than let it burn
+	// CPU under the tests that follow.
+	ack, err := decoy.RequestSuspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ack
+	if err := decoy.Kill(); err != nil {
+		t.Fatal(err)
 	}
 	res, err := job.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.I != deltaExpected(deltaIters) {
-		t.Errorf("result = %d, want %d (exactly-once across stream + steal)", res.I, deltaExpected(deltaIters))
-	}
-}
-
-// A destination that dies between the delta announce and the data stream
-// fails the whole migration on the sender, which recovers the job locally
-// — exactly once.
-func TestStreamDestDiesBeforeData(t *testing.T) {
-	c, g := deltaCluster(t, []int{1, 2})
-	n1 := c.Nodes[1]
-	gossipCaps(t, c)
-	n1.Mgr.testPreStream = func(dest int) { c.Net.SetNodeDown(dest, true) }
-
-	job, err := n1.Mgr.StartJob("Hot.crunch", value.Int(deltaSeed), value.Int(deltaIters))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, merr := gatedMigrate(t, g, func() (*MigrationMetrics, error) {
-		return n1.Mgr.MigrateSOD(job, SODOptions{NFrames: WholeStack, Dest: 2, Flow: FlowReturnHome})
-	})
-	if merr == nil {
-		t.Fatal("migration to a dead destination reported success")
-	}
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatalf("local recovery failed: %v", err)
-	}
-	if res.I != deltaExpected(deltaIters) {
-		t.Errorf("result = %d, want %d", res.I, deltaExpected(deltaIters))
+		t.Errorf("result = %d, want %d (exactly-once across restore + steal)", res.I, deltaExpected(deltaIters))
 	}
 }

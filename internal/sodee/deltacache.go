@@ -11,20 +11,15 @@ import (
 
 // Wire protocol capabilities, negotiated per peer pair. Each node
 // advertises its capability byte as a trailing field on the gossip load
-// report (see encodeSignalsCaps); a sender only uses a feature when both
-// sides advertise it, so a cluster can mix old and new binaries and every
-// link degrades to the full-state format.
+// report (see encodeSignalsCaps); a sender only delta-encodes when both
+// sides advertise it, and a link that has not negotiated uses the
+// full-state format. The migrate message layout itself is not versioned:
+// every node in a cluster must run a build with the same layout.
 const (
 	// capDelta: the peer understands delta-encoded migration state —
 	// frames, statics and class bundles referenced by content hash when
 	// unchanged since the last transfer on this link.
 	capDelta byte = 1 << 0
-	// capStream: the peer understands streamed migrations — the statics
-	// payload arrives on a separate KindMigrateData message, concurrent
-	// with stack restoration.
-	capStream byte = 1 << 1
-
-	capAll = capDelta | capStream
 )
 
 // Link-cache bounds. A link cache holds the units last shipped on one
@@ -191,10 +186,9 @@ func (m *Manager) deltaCacheLen(peer int) int {
 }
 
 // SetWireCaps overrides the capabilities this node advertises and uses.
-// Zero disables the fast path entirely: every migration is a
-// self-contained full-state message, byte-compatible with pre-delta
-// builds. Benchmarks use this to measure full versus delta on the same
-// binary.
+// Zero disables the delta path: every migration is a self-contained
+// full-state message. Benchmarks use this to measure full versus delta
+// on the same binary.
 func (m *Manager) SetWireCaps(caps byte) {
 	m.deltaMu.Lock()
 	defer m.deltaMu.Unlock()

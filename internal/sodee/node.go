@@ -172,6 +172,11 @@ type Node struct {
 	Codec  serial.Codec
 	Image  *osimage.Image
 
+	// restoreEx is the one InvalidStateException object every breakpoint-
+	// driven restoration on this node raises; the injected handler only
+	// pops it, so sharing it keeps restores from growing the heap.
+	restoreEx value.Ref
+
 	// Members is the node's liveness view of its peers: heartbeats
 	// piggybacked on load gossip keep peers Alive, silence and send
 	// failures escalate them to Suspect then Dead. The balancer feeds
@@ -335,6 +340,7 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 	})
 	if cfg.System != SysJDK && cfg.System != SysDevice {
 		n.Agent = toolif.Attach(v)
+		n.restoreEx = v.AllocException(bytecode.ExInvalidState, "")
 	}
 	if cfg.System == SysDevice {
 		// JamVM has no JVMTI; suspension still works (the retrofitted pure-

@@ -35,6 +35,10 @@ type restoreCtx struct {
 	failed     error
 }
 
+// restoreTimeout bounds how long a destination waits for a breakpoint-
+// driven restoration to resume its last frame.
+const restoreTimeout = 10 * time.Second
+
 // bindRestoreNatives wires the Fig 4 CapturedState.read<Type> analogs.
 func bindRestoreNatives(v *vm.VM) {
 	v.BindNativeIfDeclared("sod_rst_local", func(t *vm.Thread, args []value.Value) (value.Value, *vm.Raised) {
@@ -130,7 +134,7 @@ func RestoreByBreakpoints(n *Node, cs *serial.CapturedState) (*vm.Thread, *resto
 		}
 		// cbBreakpoint throws InvalidStateException in the current method;
 		// the injected handler catches it and performs the state reload.
-		return &vm.Raised{ExClass: bytecode.ExInvalidState}
+		return &vm.Raised{Ref: n.restoreEx, ExClass: bytecode.ExInvalidState}
 	})
 	n.Agent.SetBreakpoint(th, bottom.ID, 0)
 	return th, rc, nil

@@ -346,28 +346,15 @@ type Manager struct {
 	// each heartbeat accusation launches at most one concurrent round.
 	probeBusy map[int]bool
 
-	// Delta/streaming wire state (deltacache.go): per-peer link caches of
-	// migration units, the capability bytes peers advertised via gossip,
-	// this node's own advertised capabilities, and the per-peer timestamp
-	// of the last piggybacked load report.
+	// Delta wire state (deltacache.go): per-peer link caches of migration
+	// units, the capability bytes peers advertised via gossip, this node's
+	// own advertised capabilities, and the per-peer timestamp of the last
+	// piggybacked load report.
 	deltaMu   sync.Mutex
 	links     map[int]*linkCache
 	peerCaps  map[int]byte
 	selfCaps  byte
 	lastPiggy map[int]time.Time
-
-	// In-flight streamed-migration data payloads (stream.go): rendezvous
-	// between KindMigrateData messages and the control messages that
-	// announce them.
-	streamMu sync.Mutex
-	streams  map[streamKey]*streamEntry
-
-	// Test hooks for the streamed path: testPreStream runs just before the
-	// data message is sent; testStreamDelay > 0 sends the data message
-	// asynchronously after that delay, widening the restore-waits-for-data
-	// window that is nearly zero on a healthy fabric.
-	testPreStream   func(dest int)
-	testStreamDelay time.Duration
 
 	// wireLat holds an EWMA of the measured per-migration wire latency to
 	// each destination — the cost-model calibration source: once a real
@@ -425,7 +412,6 @@ type mgrMetrics struct {
 	deltaHits        *obs.Counter // units sent as cache references
 	deltaSaved       *obs.Counter // wire bytes avoided by those references
 	deltaMisses      *obs.Counter // full resends after a reference failed
-	streamedMig      *obs.Counter // migrations whose statics streamed
 	gossipPiggyback  *obs.Counter // load reports that rode a migration
 	gossipSuppressed *obs.Counter // dedicated reports skipped as redundant
 
@@ -464,7 +450,6 @@ func newMgrMetrics(r *obs.Registry) *mgrMetrics {
 		deltaHits:        r.Counter("sod_delta_hits_total"),
 		deltaSaved:       r.Counter("sod_delta_bytes_saved"),
 		deltaMisses:      r.Counter("sod_delta_misses_total"),
-		streamedMig:      r.Counter("sod_streamed_migrations_total"),
 		gossipPiggyback:  r.Counter("sod_gossip_piggybacked_total"),
 		gossipSuppressed: r.Counter("sod_gossip_suppressed_total"),
 
@@ -510,9 +495,8 @@ func newManager(n *Node) *Manager {
 		wireLat:     make(map[int]time.Duration),
 		links:       make(map[int]*linkCache),
 		peerCaps:    make(map[int]byte),
-		selfCaps:    capAll,
+		selfCaps:    capDelta,
 		lastPiggy:   make(map[int]time.Time),
-		streams:     make(map[streamKey]*streamEntry),
 		shadowJobs:  make(map[uint64]*originShadow),
 		probeBusy:   make(map[int]bool),
 		classSource: -1,
@@ -545,7 +529,6 @@ func newManager(n *Node) *Manager {
 		n.Obs.Counter("sod_event_subs_evicted_total"),
 	)
 	n.EP.Handle(netsim.KindMigrate, m.handleMigrate)
-	n.EP.Handle(netsim.KindMigrateData, m.handleMigrateData)
 	n.EP.Handle(netsim.KindFlush, m.handleFlush)
 	n.EP.Handle(netsim.KindClassRequest, m.handleClassRequest)
 	n.EP.Handle(netsim.KindProcMigrate, m.handleProcMigrate)
@@ -608,9 +591,6 @@ func (m *Manager) reset() {
 	m.peerCaps = make(map[int]byte)
 	m.lastPiggy = make(map[int]time.Time)
 	m.deltaMu.Unlock()
-	m.streamMu.Lock()
-	m.streams = make(map[streamKey]*streamEntry)
-	m.streamMu.Unlock()
 	m.migRing, m.migNext, m.migTotal = nil, 0, 0
 	m.classSource = -1
 	m.classBytes = 0
@@ -1639,18 +1619,17 @@ func (m *Manager) bundleClasses(states ...*serial.CapturedState) [][]byte {
 	return bundles
 }
 
-// sendMigrate is the single exit point for migration control messages:
+// sendMigrate is the single exit point for migration messages:
 // MigrateSOD, chain plants, chain top-segment ships and steal-granted
-// transfers all encode and transmit here, so delta capture, statics
-// streaming and gossip piggybacking apply uniformly. It negotiates the
-// link's capabilities, encodes (delta when the peer's cache can be
-// referenced, full otherwise), optionally streams the statics ahead of
-// the control message, and handles the delta-miss resync: a receiver
-// whose cache lost a referenced unit fails the call with a marker error,
-// and the migration is resent once, fully self-contained.
+// transfers all encode and transmit here, so delta capture and gossip
+// piggybacking apply uniformly. It negotiates the link's capabilities,
+// encodes (delta when the peer's cache can be referenced, full
+// otherwise), and handles the delta-miss resync: a receiver whose cache
+// lost a referenced unit fails the call with a marker error, and the
+// migration is resent once, fully self-contained.
 //
-// Returns the peer's reply, the total bytes put on the wire (control +
-// data messages) and the on-wire size of the classes section.
+// Returns the peer's reply, the bytes put on the wire and the on-wire
+// size of the classes section.
 func (m *Manager) sendMigrate(dest int, msg *migrateMsg) (reply []byte, wireBytes, classBytes int64, err error) {
 	n := m.node
 	codec := m.codecFor(dest)
@@ -1660,8 +1639,8 @@ func (m *Manager) sendMigrate(dest int, msg *migrateMsg) (reply []byte, wireByte
 		// consumers predate the delta protocol.
 		caps = m.peerWireCaps(dest)
 	}
-	// Gossip piggybacking: a data message is going out anyway, so a load
-	// report rides along for free.
+	// Gossip piggybacking: a migration message is going out anyway, so a
+	// load report rides along for free.
 	msg.signals = m.piggybackSignals()
 
 	var sess *deltaSession
@@ -1669,47 +1648,7 @@ func (m *Manager) sendMigrate(dest int, msg *migrateMsg) (reply []byte, wireByte
 		sess = m.beginDelta(dest)
 		msg.delta = true
 	}
-	// Streaming applies when there are statics to overlap and the restore
-	// is unconditional: plants and residual-carrying messages park threads
-	// for later activation, where overlapping buys nothing but complexity.
-	var data []byte
-	if caps&capStream != 0 && !msg.plant && msg.residual == nil && len(msg.seg.Statics) > 0 {
-		msg.streamed = true
-		msg.streamID = m.newToken()
-		data = encodeStreamStatics(m, msg.streamID, msg.seg.Statics, codec, sess)
-	}
-	encoded := func(s *deltaSession) []byte {
-		if !msg.streamed {
-			return msg.encode(n.Prog, codec, s)
-		}
-		// The statics travel on the data message; strip them from the
-		// control copy of the segment (restored after encoding — the
-		// caller's recovery path needs the complete state).
-		orig := msg.seg
-		stripped := *orig
-		stripped.Statics = nil
-		msg.seg = &stripped
-		p := msg.encode(n.Prog, codec, s)
-		msg.seg = orig
-		return p
-	}
-	payload := encoded(sess)
-	if data != nil {
-		if m.testPreStream != nil {
-			m.testPreStream(dest)
-		}
-		if d := m.testStreamDelay; d > 0 {
-			go func() {
-				time.Sleep(d)
-				n.EP.Send(dest, netsim.KindMigrateData, data) //nolint:errcheck // Call below surfaces the failure
-			}()
-		} else if serr := n.EP.Send(dest, netsim.KindMigrateData, data); serr != nil {
-			// An undeliverable data message fails the whole migration the
-			// same way an undeliverable control message would; the caller
-			// recovers the job locally.
-			return nil, 0, 0, serr
-		}
-	}
+	payload := msg.encode(n.Prog, codec, sess)
 	reply, err = n.EP.Call(dest, netsim.KindMigrate, payload)
 	if isDeltaMiss(err) {
 		// The peer could not resolve a reference: its cache diverged from
@@ -1718,9 +1657,8 @@ func (m *Manager) sendMigrate(dest int, msg *migrateMsg) (reply []byte, wireByte
 		// caches resync from it.
 		m.met.deltaMisses.Inc()
 		m.dropLink(dest)
-		msg.delta, msg.streamed, msg.streamID = false, false, 0
-		sess, data = nil, nil
-		payload = encoded(nil)
+		msg.delta, sess = false, nil
+		payload = msg.encode(n.Prog, codec, nil)
 		reply, err = n.EP.Call(dest, netsim.KindMigrate, payload)
 	}
 	if err != nil {
@@ -1735,12 +1673,9 @@ func (m *Manager) sendMigrate(dest int, msg *migrateMsg) (reply []byte, wireByte
 			m.met.deltaSaved.Add(sess.saved)
 		}
 	}
-	if msg.streamed {
-		m.met.streamedMig.Inc()
-	}
 	m.notePiggyback(dest)
 	m.met.gossipPiggyback.Inc()
-	return reply, int64(len(payload) + len(data)), int64(msg.classWire), nil
+	return reply, int64(len(payload)), int64(msg.classWire), nil
 }
 
 // --- destination side ---
@@ -1837,12 +1772,7 @@ func (m *Manager) handleMigrate(from int, payload []byte) ([]byte, error) {
 	// hop budget.
 	restoreStart := time.Now()
 	var restoreDur time.Duration
-	if msg.streamed {
-		restoreDur, err = m.restoreStreamed(from, msg, dst, dstFallback)
-		if err != nil {
-			return nil, err
-		}
-	} else if msg.direct || n.Agent == nil {
+	if msg.direct || n.Agent == nil {
 		th, rerr := RestoreDirect(n, msg.seg)
 		if rerr != nil {
 			return nil, rerr
@@ -1860,6 +1790,8 @@ func (m *Manager) handleMigrate(from int, payload []byte) ([]byte, error) {
 		job := m.adoptRemote(th, msg.seg, dst, dstFallback, msg.expectValue)
 		job.chained, job.evJob, job.evOrigin = msg.chained, msg.chainJob, msg.chainOrigin
 		go m.runRemoteJob(th, job)
+		timeout := time.NewTimer(restoreTimeout)
+		defer timeout.Stop()
 		select {
 		case <-rc.done:
 			// Use the stamp taken when execution actually resumed: this
@@ -1868,7 +1800,7 @@ func (m *Manager) handleMigrate(from int, payload []byte) ([]byte, error) {
 			// again — a capture during restoration would ship half a stack.
 			m.registerRemote(job)
 			restoreDur = rc.restoredAt.Sub(restoreStart)
-		case <-time.After(10 * time.Second):
+		case <-timeout.C:
 			return nil, fmt.Errorf("sodee: restoration timed out")
 		}
 	}
@@ -1992,14 +1924,10 @@ type migrateMsg struct {
 	// ownership survives whole-stack migrations to a new host.
 	chained bool
 	// delta marks the captured states (and class bundles) as
-	// delta-encoded against the (src,dst) link cache; streamed announces
-	// that the statics travel on a separate KindMigrateData message
-	// identified by streamID. Both are only set when the peer advertised
-	// the matching capability (see deltacache.go); otherwise the message
-	// is the self-contained full-state form.
-	delta    bool
-	streamed bool
-	streamID uint64
+	// delta-encoded against the (src,dst) link cache. It is only set when
+	// the peer advertised capDelta (see deltacache.go); otherwise the
+	// message is the self-contained full-state form.
+	delta bool
 	// signals is an optional piggybacked load report (gossip riding the
 	// migration; empty = none).
 	signals []byte
@@ -2012,8 +1940,6 @@ type migrateMsg struct {
 // encode serializes the control message. When sess is non-nil the
 // captured states and class bundles are delta-encoded: units unchanged
 // since the last transfer on this link ship as 9-byte cache references.
-// A streamed message encodes its segment with the statics stripped (the
-// caller ships them via KindMigrateData).
 func (mm *migrateMsg) encode(prog *bytecode.Program, codec serial.Codec, sess *deltaSession) []byte {
 	mm.codec = codec
 	w := wire.NewWriter(512)
@@ -2032,8 +1958,6 @@ func (mm *migrateMsg) encode(prog *bytecode.Program, codec serial.Codec, sess *d
 	w.Varint(int64(mm.chainOf))
 	w.Bool(mm.chained)
 	w.Bool(mm.delta)
-	w.Bool(mm.streamed)
-	w.Uvarint(mm.streamID)
 	w.Blob(mm.signals)
 	encState := func(cs *serial.CapturedState) {
 		if mm.delta {
@@ -2086,8 +2010,6 @@ func (m *Manager) decodeMigrateMsg(from int, payload []byte) (*migrateMsg, error
 	mm.chainOf = int(r.Varint())
 	mm.chained = r.Bool()
 	mm.delta = r.Bool()
-	mm.streamed = r.Bool()
-	mm.streamID = r.Uvarint()
 	mm.signals = r.Blob()
 	decState := func(buf []byte) (*serial.CapturedState, error) {
 		if mm.delta {

@@ -218,9 +218,10 @@ func (t *Thread) RequestSuspend() (<-chan struct{}, error) {
 	if !t.agent {
 		return nil, fmt.Errorf("vm: thread %d: no agent loaded; suspension unsupported", t.ID)
 	}
-	// The state is read under t.mu, which Run and park also hold for their
-	// Done and Parked transitions: a request that misses either transition
-	// is registered before it, and so acked by it.
+	// The state is read under t.mu, which Run, park and unpark also hold
+	// for their Done, Parked and Running transitions: a request that misses
+	// the Done or Parked transition is registered before it, and so acked
+	// by it; a request after unpark waits for the next park.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch t.State() {
@@ -238,21 +239,25 @@ func (t *Thread) RequestSuspend() (<-chan struct{}, error) {
 }
 
 // Resume unparks a parked thread.
-func (t *Thread) Resume() error {
-	if t.State() != ThreadParked {
-		return fmt.Errorf("vm: thread %d not parked", t.ID)
-	}
-	t.resume <- actionResume
-	return nil
-}
+func (t *Thread) Resume() error { return t.unpark(actionResume) }
 
 // Kill terminates a parked thread without running further bytecode (used
 // when the home node discards a fully migrated thread, Fig 1b).
-func (t *Thread) Kill() error {
+func (t *Thread) Kill() error { return t.unpark(actionKill) }
+
+// unpark hands a parked thread its next action. The Parked→Running
+// transition happens here, under t.mu and before the thread can execute
+// again: a RequestSuspend that follows sees Running and waits for the
+// next park, instead of acking a thread that is already running on.
+func (t *Thread) unpark(act resumeAction) error {
+	t.mu.Lock()
 	if t.State() != ThreadParked {
+		t.mu.Unlock()
 		return fmt.Errorf("vm: thread %d not parked", t.ID)
 	}
-	t.resume <- actionKill
+	t.state.Store(int32(ThreadRunning))
+	t.mu.Unlock()
+	t.resume <- act // only the unpark that left Parked sends; the buffer is empty
 	return nil
 }
 
@@ -273,9 +278,7 @@ func (t *Thread) park() bool {
 		cpu.Release()
 		defer cpu.Acquire()
 	}
-	act := <-t.resume
-	t.state.Store(int32(ThreadRunning))
-	return act == actionResume
+	return <-t.resume == actionResume
 }
 
 // safepointPoll is the slow path of the interpreter's countdown check.

@@ -2,7 +2,9 @@ package vm_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -381,10 +383,10 @@ func TestInstanceOfAndCheckCast(t *testing.T) {
 		pb.Class("B", "A")
 		mb := pb.Func("main", true)
 		mb.New("B").Store("b")
-		mb.Load("b").InstOf("A")  // 1
-		mb.Load("b").InstOf("B")  // 1
-		mb.New("A").InstOf("B")   // 0
-		mb.Add().Add()            // 2
+		mb.Load("b").InstOf("A") // 1
+		mb.Load("b").InstOf("B") // 1
+		mb.New("A").InstOf("B")  // 0
+		mb.Add().Add()           // 2
 		mb.Load("b").CheckCast("A").Pop()
 		mb.RetV()
 	})
@@ -529,6 +531,89 @@ func TestThreadSuspendResumeAtMSP(t *testing.T) {
 	if th.Result.I != 5_000_000 {
 		t.Errorf("result = %d", th.Result.I)
 	}
+}
+
+// Resume races RequestSuspend from two goroutines. Every ack must mean
+// the thread is parked and stays parked until the next Resume: a request
+// landing just after Resume, before the resumed thread runs, has to wait
+// for the next park instead of acking a thread that is running on. The
+// stack read after each ack also lets -race see a running thread.
+func TestSuspendRacingResumeAcksOnlyParked(t *testing.T) {
+	pb := asm.NewProgram()
+	inc := pb.Func("inc", true, "x")
+	inc.Load("x").Int(1).Add().RetV()
+	mb := pb.Func("main", true)
+	mb.Int(0).Store("i")
+	mb.Label("loop").MSP()
+	mb.Load("i").Call("inc", 1).Store("i")
+	mb.Jmp("loop")
+	prog := pb.MustBuild()
+
+	v := vm.New(prog, 1, true)
+	v.Profile.AgentLoaded = true
+	th, err := v.NewThread(prog.MethodByName("main"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { th.Run(); close(done) }()
+
+	const rounds = 2000
+	var turn sync.Mutex // one controller acts at a time; the race is with the thread
+	stop, resumer := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(resumer)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			turn.Lock()
+			if th.State() == vm.ThreadParked {
+				th.Resume() //nolint:errcheck // only this goroutine resumes
+			}
+			turn.Unlock()
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		turn.Lock()
+		ack, err := th.RequestSuspend()
+		if err != nil {
+			turn.Unlock()
+			t.Fatal(err)
+		}
+		<-ack
+		depth, pc := th.Depth(), th.Top().PC
+		for spin := 0; spin < 200; spin++ {
+			if th.State() != vm.ThreadParked {
+				t.Errorf("round %d: suspend acked, but the thread is %v", i, th.State())
+				break
+			}
+			runtime.Gosched()
+		}
+		if th.Depth() != depth || th.Top().PC != pc {
+			t.Errorf("round %d: stack moved after the ack", i)
+		}
+		turn.Unlock()
+	}
+	close(stop)
+	<-resumer
+	if t.Failed() {
+		return // the thread may hold a stale resume action; Kill could block
+	}
+	turn.Lock()
+	ack, err := th.RequestSuspend()
+	turn.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ack
+	if err := th.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
 }
 
 func TestThreadKill(t *testing.T) {

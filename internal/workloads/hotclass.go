@@ -12,10 +12,9 @@ import (
 // HotClass is the migration wire-format workload: a single class Hot
 // whose crunch loop folds a static into every iteration. The class
 // carries a block of int statics (so every whole-stack migration ships a
-// statics payload — the streaming wire format needs one) and a set of
-// padding methods that bulk its code bundle (so the unchanged portion of
-// a repeat migration dominates the wire cost, which is what the delta
-// snapshot cache exists to elide). Entry point: Hot.crunch(seed, iters).
+// statics payload) and a set of padding methods that bulk its code
+// bundle (so the unchanged portion of a repeat migration dominates the
+// wire cost, which is what the delta snapshot cache exists to elide). Entry point: Hot.crunch(seed, iters).
 func HotClass() *bytecode.Program {
 	return hotClassProgram("")
 }
