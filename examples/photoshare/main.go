@@ -54,8 +54,7 @@ func main() {
 
 		for _, id := range []int{1, 2} {
 			h := cluster.On(id)
-			nd := h.Inner()
-			env := &workloads.PhotoEnv{FS: fs, Location: func() int { return nd.Location() }}
+			env := &workloads.PhotoEnv{FS: fs, Location: h.ID}
 			env.Bind(h.VM())
 			// The search's entry checkpoint models the request's server-side
 			// prep (parse, auth): it holds the job in its compute phase long
@@ -109,9 +108,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := server.Runtime().LastMigration()
-		fmt.Printf("[%4d kbps] found %d beach photos on the phone (want %d); search frame shipped in %v (%d state bytes)\n",
-			kbps, res.I, wantBeach, m.Latency.Round(time.Microsecond), m.StateBytes)
+		spans, err := cl.Trace(ctx, job.ID())
+		if err != nil {
+			log.Fatal(err)
+		}
+		var hop sod.TraceSpan
+		for _, sp := range spans {
+			if sp.Name == "migrate" {
+				hop = sp
+			}
+		}
+		fmt.Printf("[%4d kbps] found %d beach photos on the phone (want %d); search frame shipped in %v (%d bytes)\n",
+			kbps, res.I, wantBeach, hop.Dur.Round(time.Microsecond), hop.Bytes)
 		if res.I != wantBeach {
 			log.Fatal("wrong hit count!")
 		}

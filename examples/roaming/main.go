@@ -44,8 +44,7 @@ func buildCluster() (*sod.Cluster, *nfs.Server, *gate, []string) {
 	g := newGate()
 	for _, n := range nodes {
 		h := cluster.On(n.ID)
-		nd := h.Inner()
-		env := &workloads.SearchEnv{FS: fs, Location: func() int { return nd.Location() }}
+		env := &workloads.SearchEnv{FS: fs, Location: h.ID}
 		env.Bind(h.VM())
 		h.BindNative(workloads.CheckpointNative, g.native())
 	}

@@ -56,8 +56,8 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 	for _, node := range cluster.Nodes {
 		workloads.BindCommon(node.VM)
 		node.VM.BindNativeIfDeclared(workloads.CheckpointNative, gate.native)
-		nd := node
-		env := &workloads.PhotoEnv{FS: fs, Location: func() int { return nd.Location() }}
+		id := node.ID
+		env := &workloads.PhotoEnv{FS: fs, Location: func() int { return id }}
 		env.Bind(node.VM)
 	}
 	server := cluster.Nodes[1]

@@ -82,27 +82,27 @@ type KernelRun struct {
 }
 
 // migrator issues the system's migration primitive during a gated run.
-type migrator func(mgr *sodee.Manager, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error)
+type migrator func(home *sodee.Node, guest *xenGuest, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error)
 
 func migratorFor(sys sodee.System) migrator {
 	switch sys {
 	case sodee.SysSODEE:
-		return func(mgr *sodee.Manager, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
-			return mgr.MigrateSOD(job, sodee.SODOptions{
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
+			return home.Mgr.MigrateSOD(job, sodee.SODOptions{
 				NFrames: w.MigrateFrames, Dest: 2, Flow: sodee.FlowReturnHome,
 			})
 		}
 	case sodee.SysGJavaMPI:
-		return func(mgr *sodee.Manager, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
-			return mgr.MigrateProcess(job, 2)
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+			return migrateProcess(home, job, 2)
 		}
 	case sodee.SysJessica2:
-		return func(mgr *sodee.Manager, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
-			return mgr.MigrateThread(job, 2)
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+			return migrateThread(home, job, 2)
 		}
 	case sodee.SysXen:
-		return func(mgr *sodee.Manager, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
-			return mgr.MigrateVM(job, sodee.VMMigrateOptions{Dest: 2})
+		return func(home *sodee.Node, guest *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+			return migrateVM(home, guest, job, 2)
 		}
 	}
 	return nil
@@ -113,12 +113,13 @@ func migratorFor(sys sodee.System) migrator {
 func RunKernel(sys sodee.System, w *workloads.Workload, n int64, migrate bool) (*KernelRun, error) {
 	prog := progFor(sys, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true, ImageBytes: 16 << 20},
-		sodee.NodeConfig{ID: 2, System: sys, Preloaded: sys != sodee.SysSODEE, ImageBytes: 16 << 20},
+		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true},
+		sodee.NodeConfig{ID: 2, System: sys, Preloaded: sys != sodee.SysSODEE},
 	)
 	if err != nil {
 		return nil, err
 	}
+	guests := serveBaselines(cluster, 16<<20)
 	gate := newCheckpointGate(migrate)
 	for _, node := range cluster.Nodes {
 		workloads.BindCommon(node.VM)
@@ -143,7 +144,7 @@ func RunKernel(sys sodee.System, w *workloads.Workload, n int64, migrate bool) (
 		done := make(chan error, 1)
 		go func() {
 			var merr error
-			mm, merr = mig(home.Mgr, job, w)
+			mm, merr = mig(home, guests[home.ID], job, w)
 			done <- merr
 		}()
 		if sys != sodee.SysXen {

@@ -32,16 +32,17 @@ type Table6Row struct {
 }
 
 // localitySetup builds a fresh 2-node cluster + corpus for one run.
-func localitySetup(sys sodee.System) (*sodee.Cluster, *nfs.Server, *checkpointGate, error) {
+func localitySetup(sys sodee.System) (*sodee.Cluster, map[int]*xenGuest, *nfs.Server, *checkpointGate, error) {
 	w := workloads.TextSearch()
 	prog := progFor(sys, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true, ImageBytes: Table6XenImage},
-		sodee.NodeConfig{ID: 2, System: sys, Preloaded: true, ImageBytes: Table6XenImage},
+		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true},
+		sodee.NodeConfig{ID: 2, System: sys, Preloaded: true},
 	)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
+	guests := serveBaselines(cluster, Table6XenImage)
 	fs := nfs.NewServer(cluster.Net)
 	for i := 0; i < 3; i++ {
 		fs.Host(nfs.File{
@@ -53,14 +54,19 @@ func localitySetup(sys sodee.System) (*sodee.Cluster, *nfs.Server, *checkpointGa
 	for _, node := range cluster.Nodes {
 		workloads.BindCommon(node.VM)
 		node.VM.BindNativeIfDeclared(workloads.CheckpointNative, gate.native)
-		nd := node
-		env := &workloads.SearchEnv{FS: fs, Location: func() int { return nd.Location() }}
+		// Execution runs at its node, except that a Xen guest runs
+		// wherever its last live migration moved it.
+		id := node.ID
+		env := &workloads.SearchEnv{FS: fs, Location: func() int { return id }}
+		if g := guests[id]; g != nil {
+			env.Location = g.location
+		}
 		if sys == sodee.SysJessica2 {
 			env.ChunkPenalty = jessicaChunkIO
 		}
 		env.Bind(node.VM)
 	}
-	return cluster, fs, gate, nil
+	return cluster, guests, fs, gate, nil
 }
 
 // searchArgs prepares (names, needle) on a node's VM.
@@ -86,7 +92,7 @@ func runSearch(cluster *sodee.Cluster, fs *nfs.Server, startOn int) (time.Durati
 	return time.Since(start), nil
 }
 
-func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, fs *nfs.Server, gate *checkpointGate) (time.Duration, error) {
+func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, guests map[int]*xenGuest, fs *nfs.Server, gate *checkpointGate) (time.Duration, error) {
 	fs.ClearCaches()
 	home := cluster.Nodes[1]
 	gate.mu.Lock()
@@ -108,9 +114,9 @@ func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, fs *nfs.Server,
 			// migration), as the paper's run does.
 			_, merr = home.Mgr.MigrateSOD(job, sodee.SODOptions{NFrames: 2, Dest: 2, Flow: sodee.FlowTotal})
 		case sodee.SysJessica2:
-			_, merr = home.Mgr.MigrateThread(job, 2)
+			_, merr = migrateThread(home, job, 2)
 		case sodee.SysXen:
-			_, merr = home.Mgr.MigrateVM(job, sodee.VMMigrateOptions{Dest: 2})
+			_, merr = migrateVM(home, guests[home.ID], job, 2)
 		default:
 			merr = fmt.Errorf("unsupported system %v", sys)
 		}
@@ -133,7 +139,7 @@ func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, fs *nfs.Server,
 func Table6() ([]Table6Row, error) {
 	var rows []Table6Row
 	for _, sys := range []sodee.System{sodee.SysJessica2, sodee.SysXen, sodee.SysSODEE} {
-		cluster, fs, _, err := localitySetup(sys)
+		cluster, _, fs, _, err := localitySetup(sys)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +152,11 @@ func Table6() ([]Table6Row, error) {
 			return nil, fmt.Errorf("table6 %v onserver: %w", sys, err)
 		}
 		// Fresh cluster for the migrated run (heaps/threads were consumed).
-		cluster2, fs2, gate2, err := localitySetup(sys)
+		cluster2, guests2, fs2, gate2, err := localitySetup(sys)
 		if err != nil {
 			return nil, err
 		}
-		mig, err := runSearchMigrated(sys, cluster2, fs2, gate2)
+		mig, err := runSearchMigrated(sys, cluster2, guests2, fs2, gate2)
 		if err != nil {
 			return nil, fmt.Errorf("table6 %v mig: %w", sys, err)
 		}
@@ -198,8 +204,8 @@ func Roaming() (*RoamResult, error) {
 		for _, node := range cluster.Nodes {
 			workloads.BindCommon(node.VM)
 			node.VM.BindNativeIfDeclared(workloads.CheckpointNative, gate.native)
-			nd := node
-			env := &workloads.SearchEnv{FS: fs, Location: func() int { return nd.Location() }}
+			id := node.ID
+			env := &workloads.SearchEnv{FS: fs, Location: func() int { return id }}
 			env.Bind(node.VM)
 		}
 		return cluster, fs, gate, names, nil

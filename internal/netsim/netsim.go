@@ -39,10 +39,10 @@ const (
 	KindNFSRead                          // simulated NFS chunk read
 	KindStaticRequest                    // objman: fetch static field
 	KindControl                          // runtime control (spawn worker, roam, ...)
-	KindPage                             // vmmig: memory page batch
+	KindPage                             // Xen baseline (internal/experiments only): guest page batch
 	KindHTTP                             // photoshare example traffic
-	KindProcMigrate                      // G-JavaMPI eager process migration
-	KindThreadMigrate                    // JESSICA2 thread migration
+	KindProcMigrate                      // G-JavaMPI baseline (internal/experiments only): eager process migration
+	KindThreadMigrate                    // JESSICA2 baseline (internal/experiments only): thread migration
 	KindLoadReport                       // policy engine: gossiped load signals
 	KindStealRequest                     // work stealing: idle thief asks a loaded victim for a job
 	KindStealGrant                       // work stealing: victim announces the job it is shipping

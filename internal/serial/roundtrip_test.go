@@ -57,14 +57,6 @@ func diffCapturedState(a, b *serial.CapturedState) string {
 			return fmt.Sprintf("statics %d: %s", i, d)
 		}
 	}
-	if len(a.AllocHints) != len(b.AllocHints) {
-		return fmt.Sprintf("alloc hints %d != %d", len(a.AllocHints), len(b.AllocHints))
-	}
-	for i := range a.AllocHints {
-		if a.AllocHints[i] != b.AllocHints[i] {
-			return fmt.Sprintf("alloc hint %d: %+v != %+v", i, a.AllocHints[i], b.AllocHints[i])
-		}
-	}
 	if a.Hops != b.Hops {
 		return fmt.Sprintf("hops %d != %d", a.Hops, b.Hops)
 	}
@@ -184,10 +176,6 @@ func TestCapturedStateRoundTripTable(t *testing.T) {
 				Statics: []serial.ClassStatics{
 					{ClassID: boxID, Values: []value.Value{value.Int(41)}},
 					{ClassID: pairID, Values: []value.Value{value.Int(8), value.RefVal(value.MakeRef(1, 2))}},
-				},
-				AllocHints: []serial.AllocHint{
-					{Kind: bytecode.ArrKindInt, Len: 128},
-					{Kind: bytecode.ArrKindFloat, Len: 64},
 				},
 				Hops: 3,
 				Visited: []serial.Visit{

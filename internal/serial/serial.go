@@ -67,14 +67,6 @@ type CapturedFrame struct {
 	Pinned   bool
 }
 
-// AllocHint describes a static array at the home node, letting a
-// JESSICA2-style destination model eager allocation of static arrays at
-// class-load time (§IV.A).
-type AllocHint struct {
-	Kind int32
-	Len  int64
-}
-
 // ClassStatics carries the static fields of one class.
 type ClassStatics struct {
 	ClassID int32
@@ -102,8 +94,6 @@ type CapturedState struct {
 	// frame (restored first, Fig 4b).
 	Frames  []CapturedFrame
 	Statics []ClassStatics
-	// AllocHints lists static arrays for eager-allocation destinations.
-	AllocHints []AllocHint
 	// Hops counts migrations this state has undergone, this transfer
 	// included — 1 for a first migration away from home. The re-balancing
 	// hop budget is enforced against it.
@@ -417,11 +407,6 @@ func EncodeCapturedState(cs *CapturedState, prog *bytecode.Program, c Codec) []b
 	for i := range cs.Statics {
 		encClassStatics(w, &cs.Statics[i], prog, c)
 	}
-	w.Uvarint(uint64(len(cs.AllocHints)))
-	for _, h := range cs.AllocHints {
-		w.Varint(int64(h.Kind))
-		w.Varint(h.Len)
-	}
 	w.Varint(int64(cs.Hops))
 	visited := cs.Visited
 	if len(visited) > MaxVisits {
@@ -469,9 +454,6 @@ func DecodeCapturedState(buf []byte, prog *bytecode.Program, c Codec) (*Captured
 			return nil, err
 		}
 		cs.Statics = append(cs.Statics, s)
-	}
-	for i, n := 0, int(r.Uvarint()); i < n && r.Err() == nil; i++ {
-		cs.AllocHints = append(cs.AllocHints, AllocHint{Kind: int32(r.Varint()), Len: r.Varint()})
 	}
 	cs.Hops = int32(r.Varint())
 	for i, n := 0, int(r.Uvarint()); i < n && r.Err() == nil; i++ {

@@ -103,8 +103,7 @@ func CaptureSegment(a *toolif.Agent, t *vm.Thread, skip, nFrames int, homeNode i
 // — the JESSICA2 path ("state information can be retrieved directly from
 // the JVM kernel") and the §IV.D device fallback. No per-call tool costs.
 // allStatics ships every loaded class's statics (thread migration moves
-// the whole thread context); alloc hints describe static arrays so the
-// destination can model JESSICA2's eager allocation at class-load time.
+// the whole thread context).
 func CaptureDirect(v *vm.VM, t *vm.Thread, nFrames int, homeNode int, allStatics bool) (*serial.CapturedState, error) {
 	depth := t.Depth()
 	if nFrames <= 0 || nFrames > depth {
@@ -140,23 +139,4 @@ func CaptureDirect(v *vm.VM, t *vm.Thread, nFrames int, homeNode int, allStatics
 	}
 	appendStatics(cs, v.Statics, classes)
 	return cs, nil
-}
-
-// staticAllocHints describes the static ref arrays reachable from the
-// captured statics, letting the JESSICA2 destination model eager
-// allocation of static arrays at class-load time (§IV.A's explanation of
-// its long FFT restore time).
-func staticAllocHints(v *vm.VM, cs *serial.CapturedState) []serial.AllocHint {
-	var hints []serial.AllocHint
-	for _, st := range cs.Statics {
-		for _, sv := range st.Values {
-			if sv.Kind != value.KindRef || sv.R == value.NullRef {
-				continue
-			}
-			if o := v.Heap.Get(sv.R); o != nil && o.IsArray {
-				hints = append(hints, serial.AllocHint{Kind: o.AKind, Len: int64(o.Len())})
-			}
-		}
-	}
-	return hints
 }

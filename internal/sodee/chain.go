@@ -367,9 +367,7 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 		job.waiting = true // parked tail is owned by its resume route now
 		job.mu.Unlock()
 	} else {
-		job.mu.Lock()
-		job.th = nil
-		job.mu.Unlock()
+		job.Detach()
 		if kerr := th.Kill(); kerr != nil {
 			return nil, kerr
 		}
@@ -442,7 +440,6 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 	}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
 	mm.Freeze = mm.Latency
-	m.record(mm)
 	m.observeWireLatency(dest0, mm.Transfer)
 	m.observeMigration(&mm, reason, dest0, wireBytes)
 	// Top-segment span quartet, same shape as MigrateSOD's: capture here

@@ -244,7 +244,7 @@ const tagDelta byte = 0xD1
 
 // encodeDeltaState encodes cs with every frame and statics bundle passed
 // through sess.writeUnit: unchanged units become 9-byte references into
-// the link cache. The scalar envelope (hops, visits, hints) is always
+// the link cache. The scalar envelope (hops, visits) is always
 // inline — it changes every hop and is tiny.
 func encodeDeltaState(w *wire.Writer, cs *serial.CapturedState, m *Manager, sess *deltaSession, codec serial.Codec) {
 	prog := m.node.Prog
@@ -258,11 +258,6 @@ func encodeDeltaState(w *wire.Writer, cs *serial.CapturedState, m *Manager, sess
 	w.Uvarint(uint64(len(cs.Statics)))
 	for i := range cs.Statics {
 		sess.writeUnit(w, serial.EncodeClassStatics(&cs.Statics[i], prog, codec))
-	}
-	w.Uvarint(uint64(len(cs.AllocHints)))
-	for _, h := range cs.AllocHints {
-		w.Varint(int64(h.Kind))
-		w.Varint(h.Len)
 	}
 	w.Varint(int64(cs.Hops))
 	visited := cs.Visited
@@ -336,9 +331,6 @@ func (m *Manager) decodeDeltaState(buf []byte, from int, codec serial.Codec) (*s
 			return nil, err
 		}
 		cs.Statics = append(cs.Statics, s)
-	}
-	for i, n := 0, int(r.Uvarint()); i < n && r.Err() == nil; i++ {
-		cs.AllocHints = append(cs.AllocHints, serial.AllocHint{Kind: int32(r.Varint()), Len: r.Varint()})
 	}
 	cs.Hops = int32(r.Varint())
 	for i, n := 0, int(r.Uvarint()); i < n && r.Err() == nil; i++ {

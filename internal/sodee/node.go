@@ -1,15 +1,13 @@
 // Package sodee is the SOD Execution Engine: the distributed runtime of
 // §III that ties the SVM, the tool interface, the class preprocessor, the
-// object manager and the network into migration-capable nodes. It
-// implements the paper's SOD migration manager plus the three comparison
-// systems — G-JavaMPI-style eager process migration, JESSICA2-style in-VM
-// thread migration, and Xen-style pre-copy live migration — behind one
-// Node abstraction so the evaluation harness can swap systems per run.
+// object manager and the network into migration-capable nodes, with the
+// paper's SOD migration manager on each. A node's System selects its
+// execution profile and codec; the paper's comparison systems run their
+// migrations from internal/experiments, and no runtime node serves them.
 package sodee
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/objman"
 	"repro/internal/obs"
-	"repro/internal/osimage"
 	"repro/internal/serial"
 	"repro/internal/toolif"
 	"repro/internal/value"
@@ -141,8 +138,6 @@ type NodeConfig struct {
 	// Preloaded controls whether all classes are resident at startup.
 	// Destination workers start cold and fetch classes on demand.
 	Preloaded bool
-	// ImageBytes sizes the guest OS image (Xen nodes only).
-	ImageBytes int64
 	// Cores models the node's CPU width: at most Cores threads execute
 	// bytecode at once, the rest queue (0 = unlimited). The elastic
 	// experiments give the weak node one core so a job burst visibly
@@ -170,7 +165,6 @@ type Node struct {
 	EP     netsim.Transport
 	ObjMan *objman.Manager
 	Codec  serial.Codec
-	Image  *osimage.Image
 
 	// restoreEx is the one InvalidStateException object every breakpoint-
 	// driven restoration on this node raises; the injected handler only
@@ -195,31 +189,10 @@ type Node struct {
 	Cores int
 	Speed float64
 
-	// location is the node this node's execution "is at" — it differs from
-	// ID only after a whole-VM (Xen) migration relocates the guest. NFS
-	// locality decisions consult it.
-	mu       sync.Mutex
-	location int
-
 	// Cluster back-pointer (set by AddNode) for peer metadata lookups.
 	Cluster *Cluster
 
 	Mgr *Manager
-}
-
-// Location returns where this node's execution currently runs (== ID
-// except after a live VM migration).
-func (n *Node) Location() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.location
-}
-
-// SetLocation relocates the node's execution (Xen handover).
-func (n *Node) SetLocation(loc int) {
-	n.mu.Lock()
-	n.location = loc
-	n.mu.Unlock()
 }
 
 // Cluster is a set of nodes sharing one program and one fabric. Net is
@@ -321,19 +294,18 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 		codec = serial.JavaSer
 	}
 	n := &Node{
-		ID:       cfg.ID,
-		System:   cfg.System,
-		Prog:     c.Prog,
-		VM:       v,
-		EP:       ep,
-		Codec:    codec,
-		Cores:    cfg.Cores,
-		Speed:    speed,
-		location: cfg.ID,
-		Cluster:  c,
-		Members:  membership.New(cfg.ID, cfg.Membership),
-		Obs:      obs.NewRegistry(),
-		Trace:    obs.NewTraceStore(),
+		ID:      cfg.ID,
+		System:  cfg.System,
+		Prog:    c.Prog,
+		VM:      v,
+		EP:      ep,
+		Codec:   codec,
+		Cores:   cfg.Cores,
+		Speed:   speed,
+		Cluster: c,
+		Members: membership.New(cfg.ID, cfg.Membership),
+		Obs:     obs.NewRegistry(),
+		Trace:   obs.NewTraceStore(),
 	}
 	n.Members.OnChange(func(ev membership.Event) {
 		n.Obs.Counter(obs.Label("sod_member_transitions_total", "state", ev.State.String())).Inc()
@@ -347,17 +319,6 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 		// Java migration manager of §IV.D), but capture/restore bypass the
 		// tool interface.
 		v.Profile.AgentLoaded = true
-	}
-	if cfg.System == SysXen {
-		size := cfg.ImageBytes
-		if size == 0 {
-			size = 64 << 20
-		}
-		n.Image = osimage.New(size)
-		img := n.Image
-		v.Heap.WriteHook = func(ref value.Ref, o *vm.Object) {
-			img.Touch(ref, o.ByteSize())
-		}
 	}
 	n.ObjMan = objman.New(v, c.Prog, ep, codec)
 	n.ObjMan.BindNatives(v)

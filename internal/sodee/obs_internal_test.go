@@ -6,61 +6,6 @@ import (
 	"time"
 )
 
-// The per-migration metrics table must not grow without bound on a
-// long-lived node: record keeps a ring of the most recent migRingCap
-// entries while MigrationCount tracks the lifetime total.
-func TestMigrationRingBounded(t *testing.T) {
-	m := &Manager{}
-	total := migRingCap*2 + 7
-	for i := 0; i < total; i++ {
-		m.record(MigrationMetrics{StateBytes: int64(i)})
-	}
-	if got := m.MigrationCount(); got != uint64(total) {
-		t.Fatalf("MigrationCount = %d, want %d", got, total)
-	}
-	if got := len(m.RecentMigrations()); got != migRingCap {
-		t.Fatalf("retained %d records, want %d", got, migRingCap)
-	}
-	// LastMigration keeps its pre-ring semantics: the most recent record.
-	if got := m.LastMigration().StateBytes; got != int64(total-1) {
-		t.Fatalf("LastMigration.StateBytes = %d, want %d", got, total-1)
-	}
-	// RecentMigrations is oldest-first across the wrap point.
-	recent := m.RecentMigrations()
-	for i, mm := range recent {
-		want := int64(total - migRingCap + i)
-		if mm.StateBytes != want {
-			t.Fatalf("RecentMigrations[%d].StateBytes = %d, want %d", i, mm.StateBytes, want)
-		}
-	}
-}
-
-// Below the cap the ring behaves like the old append-only slice.
-func TestMigrationRingPartial(t *testing.T) {
-	m := &Manager{}
-	for i := 0; i < 3; i++ {
-		m.record(MigrationMetrics{StateBytes: int64(i)})
-	}
-	if got := m.MigrationCount(); got != 3 {
-		t.Fatalf("MigrationCount = %d, want 3", got)
-	}
-	recent := m.RecentMigrations()
-	if len(recent) != 3 {
-		t.Fatalf("retained %d records, want 3", len(recent))
-	}
-	for i, mm := range recent {
-		if mm.StateBytes != int64(i) {
-			t.Fatalf("RecentMigrations[%d].StateBytes = %d, want %d", i, mm.StateBytes, i)
-		}
-	}
-	if got := m.LastMigration().StateBytes; got != 2 {
-		t.Fatalf("LastMigration.StateBytes = %d, want 2", got)
-	}
-	if m.migNext != 3 {
-		t.Fatalf("migNext = %d, want 3", m.migNext)
-	}
-}
-
 // The watch renderer must surface backpressure: an EvLagged marker names
 // the job (when per-job) and carries the coalesced-drop count, so a
 // sodctl watch reader can tell "events were dropped" from "nothing

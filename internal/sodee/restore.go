@@ -39,6 +39,22 @@ type restoreCtx struct {
 // driven restoration to resume its last frame.
 const restoreTimeout = 10 * time.Second
 
+// Wait blocks until the restored thread resumes its last frame, and
+// returns the restore time counted from start. The stamp taken when
+// execution actually resumed ends the count, not this waiter's wake-up:
+// the waiter may be scheduled long after if the restored thread
+// saturates the CPU.
+func (rc *restoreCtx) Wait(start time.Time) (time.Duration, error) {
+	timeout := time.NewTimer(restoreTimeout)
+	defer timeout.Stop()
+	select {
+	case <-rc.done:
+		return rc.restoredAt.Sub(start), nil
+	case <-timeout.C:
+		return 0, fmt.Errorf("sodee: restoration timed out")
+	}
+}
+
 // bindRestoreNatives wires the Fig 4 CapturedState.read<Type> analogs.
 func bindRestoreNatives(v *vm.VM) {
 	v.BindNativeIfDeclared("sod_rst_local", func(t *vm.Thread, args []value.Value) (value.Value, *vm.Raised) {
@@ -102,9 +118,9 @@ func applyStatics(v *vm.VM, cs *serial.CapturedState) {
 // handler reloads the locals and jumps to the saved pc; the re-executed
 // invoke then creates the next frame (Fig 4b steps 1-7).
 //
-// The returned thread is NOT yet running; the caller starts it. The
-// returned channel closes when the last frame has resumed real execution
-// (restore-time measurement point).
+// The returned thread is NOT yet running; the caller starts it, then
+// calls Wait on the returned restoration, which returns once the last
+// frame resumes real execution (the restore-time measurement point).
 func RestoreByBreakpoints(n *Node, cs *serial.CapturedState) (*vm.Thread, *restoreCtx, error) {
 	if n.Agent == nil {
 		return nil, nil, fmt.Errorf("sodee: node %d has no tool agent", n.ID)
@@ -150,17 +166,6 @@ func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
 	}
 	applyStatics(n.VM, cs)
 
-	if n.System == SysJessica2 {
-		// JESSICA2 allocates space for static arrays at class loading
-		// rather than at access time (§IV.A) — pay the allocation and
-		// zeroing now, even though the data itself will still be fetched
-		// through the DSM on access.
-		for _, h := range cs.AllocHints {
-			if _, err := n.VM.Heap.AllocArray(n.VM.BuiltinClass(bytecode.ClassObject), h.Kind, int(h.Len)); err != nil {
-				return nil, fmt.Errorf("sodee: eager static allocation: %w", err)
-			}
-		}
-	}
 	if n.System == SysDevice {
 		// Java-level restoration on a slow handset: reflection-driven frame
 		// rebuilding on a 412 MHz ARM (§IV.D: "carrying out restoration at

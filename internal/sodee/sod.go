@@ -125,6 +125,15 @@ func (j *Job) Thread() *vm.Thread {
 	return j.th
 }
 
+// Detach takes the job's thread away from it: a migration that moved the
+// whole stack elsewhere calls it before killing the local thread, so the
+// thread's end no longer completes or routes the job here.
+func (j *Job) Detach() {
+	j.mu.Lock()
+	j.th = nil
+	j.mu.Unlock()
+}
+
 // Remote reports whether this is a migrated-in job hosted for another
 // node (its result routes onward rather than completing a local waiter).
 func (j *Job) Remote() bool {
@@ -369,20 +378,7 @@ type Manager struct {
 	// met holds the pre-registered hot-path instruments (see mgrMetrics);
 	// name lookups happen once, at construction.
 	met *mgrMetrics
-
-	// Metrics of migrations this node initiated: a bounded ring (guarded
-	// by mu) so a long-lived node retains the most recent migRingCap
-	// records instead of appending forever. migNext is the next write
-	// slot once the ring is full; migTotal counts lifetime recordings.
-	migRing  []MigrationMetrics
-	migNext  int
-	migTotal uint64
 }
-
-// migRingCap bounds the retained per-migration metrics records. 256 is
-// plenty for any diagnostic window; older records are summarized by the
-// registry's counters and histograms anyway.
-const migRingCap = 256
 
 // mgrMetrics is the manager's pre-registered instrument panel. Counters
 // and histograms live in the node's Registry under the sod_* names the
@@ -531,9 +527,6 @@ func newManager(n *Node) *Manager {
 	n.EP.Handle(netsim.KindMigrate, m.handleMigrate)
 	n.EP.Handle(netsim.KindFlush, m.handleFlush)
 	n.EP.Handle(netsim.KindClassRequest, m.handleClassRequest)
-	n.EP.Handle(netsim.KindProcMigrate, m.handleProcMigrate)
-	n.EP.Handle(netsim.KindThreadMigrate, m.handleThreadMigrate)
-	n.EP.Handle(netsim.KindPage, m.handlePage)
 	n.EP.Handle(netsim.KindLoadReport, m.handleLoadReport)
 	n.EP.Handle(netsim.KindStealRequest, m.handleStealRequest)
 	n.EP.Handle(netsim.KindStealGrant, m.handleStealGrant)
@@ -591,65 +584,12 @@ func (m *Manager) reset() {
 	m.peerCaps = make(map[int]byte)
 	m.lastPiggy = make(map[int]time.Time)
 	m.deltaMu.Unlock()
-	m.migRing, m.migNext, m.migTotal = nil, 0, 0
 	m.classSource = -1
 	m.classBytes = 0
 	m.stealStats = StealStats{}
 	// The bus is deliberately not replaced: it caps its own retention,
 	// and swapping it would race with subscribers held across a Reset.
 	// nextToken is not rewound either: stale tokens must never resolve.
-}
-
-// LastMigration returns the most recent migration metrics.
-func (m *Manager) LastMigration() MigrationMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.migTotal == 0 {
-		return MigrationMetrics{}
-	}
-	last := m.migNext - 1
-	if last < 0 {
-		last = len(m.migRing) - 1
-	}
-	return m.migRing[last]
-}
-
-// RecentMigrations returns the retained migration records, oldest first
-// (at most migRingCap; lifetime totals live in MigrationCount and the
-// metrics registry).
-func (m *Manager) RecentMigrations() []MigrationMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]MigrationMetrics, 0, len(m.migRing))
-	if m.migTotal > uint64(len(m.migRing)) {
-		// Ring has wrapped: oldest record sits at the write cursor.
-		out = append(out, m.migRing[m.migNext:]...)
-		out = append(out, m.migRing[:m.migNext]...)
-	} else {
-		out = append(out, m.migRing...)
-	}
-	return out
-}
-
-// MigrationCount returns how many migrations this node has ever
-// initiated (not capped by the ring).
-func (m *Manager) MigrationCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.migTotal
-}
-
-func (m *Manager) record(mm MigrationMetrics) {
-	m.mu.Lock()
-	if len(m.migRing) < migRingCap {
-		m.migRing = append(m.migRing, mm)
-		m.migNext = len(m.migRing) % migRingCap
-	} else {
-		m.migRing[m.migNext] = mm
-		m.migNext = (m.migNext + 1) % migRingCap
-	}
-	m.migTotal++
-	m.mu.Unlock()
 }
 
 // ewmaAlpha weights fresh wire-latency samples against history: heavy
@@ -852,6 +792,14 @@ func (m *Manager) runAndWatch(th *vm.Thread, job *Job) {
 func (m *Manager) runWorker(th *vm.Thread, expectValue bool, dst, fallback completion) {
 	th.Run()
 	m.routeResult(th, expectValue, dst, fallback)
+}
+
+// RunRestored starts th, a thread restored from another node's captured
+// state, and routes its result to the job token names at its origin node
+// once it finishes. This is how a migration protocol that is not the
+// node's own hands its restored thread to the node.
+func (m *Manager) RunRestored(th *vm.Thread, origin int, token uint64) {
+	go m.runWorker(th, th.Frames[0].Method.ReturnsValue, completion{node: origin, token: token}, completion{})
 }
 
 // runRemoteJob executes a migrated-in job's thread and — when this node
@@ -1413,9 +1361,7 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 		resultTo = completion{node: n.ID, token: token}
 
 	case opts.Flow == FlowReturnHome: // whole stack exported, result = job result
-		job.mu.Lock()
-		job.th = nil
-		job.mu.Unlock()
+		job.Detach()
 		if err := th.Kill(); err != nil {
 			return nil, err
 		}
@@ -1424,9 +1370,7 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	case opts.Flow == FlowTotal:
 		// Residual rides along to the destination; final result flows to
 		// the job's consumer.
-		job.mu.Lock()
-		job.th = nil
-		job.mu.Unlock()
+		job.Detach()
 		if err := th.Kill(); err != nil {
 			return nil, err
 		}
@@ -1520,7 +1464,6 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
 	mm.Freeze = mm.Latency
-	m.record(mm)
 	m.observeWireLatency(opts.Dest, mm.Transfer)
 	m.observeMigration(&mm, opts.Reason, opts.Dest, wireBytes)
 	// The hop's span quartet goes to the origin's trace: the migrate span
@@ -1790,19 +1733,12 @@ func (m *Manager) handleMigrate(from int, payload []byte) ([]byte, error) {
 		job := m.adoptRemote(th, msg.seg, dst, dstFallback, msg.expectValue)
 		job.chained, job.evJob, job.evOrigin = msg.chained, msg.chainJob, msg.chainOrigin
 		go m.runRemoteJob(th, job)
-		timeout := time.NewTimer(restoreTimeout)
-		defer timeout.Stop()
-		select {
-		case <-rc.done:
-			// Use the stamp taken when execution actually resumed: this
-			// waiter may be scheduled long after if the restored thread
-			// saturates the CPU. Only now does the job become migratable
-			// again — a capture during restoration would ship half a stack.
-			m.registerRemote(job)
-			restoreDur = rc.restoredAt.Sub(restoreStart)
-		case <-timeout.C:
-			return nil, fmt.Errorf("sodee: restoration timed out")
+		if restoreDur, err = rc.Wait(restoreStart); err != nil {
+			return nil, err
 		}
+		// Only now does the job become migratable again — a capture
+		// during restoration would ship half a stack.
+		m.registerRemote(job)
 	}
 
 	w := wire.NewWriter(24)

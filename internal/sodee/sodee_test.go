@@ -10,9 +10,11 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/netsim"
 	"repro/internal/preprocess"
+	"repro/internal/serial"
 	"repro/internal/sodee"
 	"repro/internal/value"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // buildWorkload assembles a three-level computation suitable for SOD
@@ -306,122 +308,6 @@ func TestPinnedFrameRefusesMigration(t *testing.T) {
 	}
 }
 
-func TestProcessMigrationGJavaMPI(t *testing.T) {
-	prog := preprocess.MustPreprocess(buildWorkload(),
-		preprocess.Options{Mode: preprocess.ModeNone, Restore: true})
-	c, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sodee.SysGJavaMPI, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sodee.SysGJavaMPI, Preloaded: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newGate()
-	for _, n := range c.Nodes {
-		n.VM.BindNative("test_gate", g.native)
-	}
-	home := c.Nodes[1]
-	d := makeData(t, home)
-	job, err := home.Mgr.StartJob("main", value.RefVal(d), value.Int(testIters))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm := migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
-		return home.Mgr.MigrateProcess(job, 2)
-	})
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.I != expectedResult(testIters) {
-		t.Errorf("result = %d, want %d", res.I, expectedResult(testIters))
-	}
-	if mm.HeapBytes == 0 {
-		t.Error("process migration should report heap bytes")
-	}
-	// Eager copy: the destination should never fault objects in.
-	if c.Nodes[2].ObjMan.Stats.Fetches != 0 {
-		t.Errorf("eager process migration should not fault (%d fetches)", c.Nodes[2].ObjMan.Stats.Fetches)
-	}
-}
-
-func TestThreadMigrationJessica2(t *testing.T) {
-	prog := preprocess.MustPreprocess(buildWorkload(),
-		preprocess.Options{Mode: preprocess.ModeStatusCheck, Restore: false})
-	c, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sodee.SysJessica2, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sodee.SysJessica2, Preloaded: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newGate()
-	for _, n := range c.Nodes {
-		n.VM.BindNative("test_gate", g.native)
-	}
-	home := c.Nodes[1]
-	d := makeData(t, home)
-	job, err := home.Mgr.StartJob("main", value.RefVal(d), value.Int(testIters/10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
-		return home.Mgr.MigrateThread(job, 2)
-	})
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.I != expectedResult(testIters/10) {
-		t.Errorf("result = %d, want %d", res.I, expectedResult(testIters/10))
-	}
-	// DSM: the destination fetched the Data object through status checks.
-	if c.Nodes[2].ObjMan.Stats.Fetches == 0 {
-		t.Error("thread migration should fetch heap objects on demand")
-	}
-}
-
-func TestVMMigrationXen(t *testing.T) {
-	prog := preprocess.MustPreprocess(buildWorkload(),
-		preprocess.Options{Mode: preprocess.ModeNone, Restore: false})
-	c, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sodee.SysXen, Preloaded: true, ImageBytes: 4 << 20},
-		sodee.NodeConfig{ID: 2, System: sodee.SysXen, Preloaded: true, ImageBytes: 4 << 20},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newGate()
-	for _, n := range c.Nodes {
-		n.VM.BindNative("test_gate", g.native)
-	}
-	home := c.Nodes[1]
-	d := makeData(t, home)
-	job, err := home.Mgr.StartJob("main", value.RefVal(d), value.Int(testIters/10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm := migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
-		return home.Mgr.MigrateVM(job, sodee.VMMigrateOptions{Dest: 2})
-	})
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.I != expectedResult(testIters/10) {
-		t.Errorf("result = %d, want %d", res.I, expectedResult(testIters/10))
-	}
-	if home.Location() != 2 {
-		t.Errorf("guest location = %d, want 2 after handover", home.Location())
-	}
-	if mm.Rounds == 0 {
-		t.Error("expected at least one pre-copy round")
-	}
-	if mm.Freeze <= 0 || mm.Freeze >= mm.Latency {
-		t.Errorf("freeze (%v) should be a small part of latency (%v)", mm.Freeze, mm.Latency)
-	}
-}
-
 func TestMigrationLatencyBreakdownSane(t *testing.T) {
 	c, g := sodCluster(t, []int{1, 2}, true)
 	home := c.Nodes[1]
@@ -459,5 +345,47 @@ func TestJobWithoutMigrationRunsLocally(t *testing.T) {
 	}
 	if res.I != expectedResult(1000) {
 		t.Errorf("result = %d, want %d", res.I, expectedResult(1000))
+	}
+}
+
+// TestNodeRefusesComparisonKinds: a runtime node serves only its own
+// protocol. The comparison systems' messages (a G-JavaMPI process image,
+// a JESSICA2 thread, Xen guest pages) must find no handler, so no peer
+// can make a node adopt a heap it shipped.
+func TestNodeRefusesComparisonKinds(t *testing.T) {
+	c, _ := sodCluster(t, []int{1, 2}, true)
+	src, dst := c.Nodes[1], c.Nodes[2]
+
+	// A well-formed process image: one heap object and a stackless state.
+	obj := makeData(t, src)
+	wo := serial.SnapshotObject(obj, src.VM.Heap.MustGet(obj))
+	cs := serial.EncodeCapturedState(&serial.CapturedState{HomeNode: int32(src.ID)}, src.Prog, src.Codec)
+	proc := wire.NewWriter(256)
+	proc.Varint(int64(src.ID))
+	proc.Uvarint(1)
+	proc.Blob(cs)
+	proc.Uvarint(1)
+	proc.Blob(serial.EncodeObject(&wo, src.Prog, src.Codec))
+	proc.Uvarint(0)
+	thread := wire.NewWriter(64)
+	thread.Varint(int64(src.ID))
+	thread.Uvarint(1)
+	thread.Blob(cs)
+
+	before := dst.VM.Heap.NumObjects()
+	for _, m := range []struct {
+		kind    netsim.MsgKind
+		payload []byte
+	}{
+		{netsim.KindProcMigrate, proc.Bytes()},
+		{netsim.KindThreadMigrate, thread.Bytes()},
+		{netsim.KindPage, make([]byte, 4096)},
+	} {
+		if _, err := src.EP.Call(dst.ID, m.kind, m.payload); err == nil || !strings.Contains(err.Error(), "no handler") {
+			t.Errorf("kind %d: err = %v, want no handler", m.kind, err)
+		}
+	}
+	if after := dst.VM.Heap.NumObjects(); after != before {
+		t.Errorf("destination heap grew from %d to %d objects", before, after)
 	}
 }

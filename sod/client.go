@@ -98,9 +98,8 @@ type TraceSpan = obs.Span
 // timeline (the sodctl trace rendering).
 func RenderSpans(spans []TraceSpan) string { return obs.RenderTrace(spans) }
 
-// JobHandle is one submitted job. It replaces the Wait/WaitTimeout pair:
-// cancellation and deadlines come from the context, and an abandoned
-// Wait leaks nothing.
+// JobHandle is one submitted job. Cancellation and deadlines come from
+// the context, and an abandoned Wait leaks nothing.
 type JobHandle interface {
 	// ID is the job's identity at its origin node — the id Watch takes.
 	ID() uint64

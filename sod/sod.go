@@ -55,10 +55,8 @@ package sod
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/netsim"
@@ -91,17 +89,14 @@ func RefVal(r Ref) Value { return value.RefVal(r) }
 func Null() Value { return value.Null() }
 
 // System selects the runtime substrate a node models. The zero value is
-// SODEE, the paper's system; the others exist for comparison experiments.
+// SODEE, the paper's system; Device models the §IV.D handset, which has
+// no tool interface.
 type System = sodee.System
 
 // Node system kinds.
 const (
-	SODEE    = sodee.SysSODEE
-	JDK      = sodee.SysJDK
-	GJavaMPI = sodee.SysGJavaMPI
-	Jessica2 = sodee.SysJessica2
-	Xen      = sodee.SysXen
-	Device   = sodee.SysDevice
+	SODEE  = sodee.SysSODEE
+	Device = sodee.SysDevice
 )
 
 // Link profiles.
@@ -260,9 +255,6 @@ func (h *NodeHandle) Intern(s string) Value { return value.RefVal(h.n.VM.Intern(
 // Runtime exposes the node's migration manager for advanced scenarios.
 func (h *NodeHandle) Runtime() *sodee.Manager { return h.n.Mgr }
 
-// Inner exposes the underlying node.
-func (h *NodeHandle) Inner() *sodee.Node { return h.n }
-
 // NativeFunc is a simplified native-method implementation for
 // applications built on the public API. Errors surface as
 // IllegalStateException in the running program.
@@ -329,17 +321,6 @@ func (h *NodeHandle) Migrate(job *Job, m Migration) (*Metrics, error) {
 	})
 }
 
-// MigrateProcess performs G-JavaMPI-style eager process migration
-// (comparison baseline).
-func (h *NodeHandle) MigrateProcess(job *Job, dest int) (*Metrics, error) {
-	return h.n.Mgr.MigrateProcess(job.inner, dest)
-}
-
-// MigrateThread performs JESSICA2-style thread migration (baseline).
-func (h *NodeHandle) MigrateThread(job *Job, dest int) (*Metrics, error) {
-	return h.n.Mgr.MigrateThread(job.inner, dest)
-}
-
 // Job is a running (possibly migrating) computation.
 type Job struct {
 	inner *sodee.Job
@@ -361,9 +342,6 @@ func (j *Job) WaitContext(ctx context.Context) (Value, error) {
 
 // Done reports completion without blocking.
 func (j *Job) Done() bool { return j.inner.Done() }
-
-// Inner exposes the runtime job.
-func (j *Job) Inner() *sodee.Job { return j.inner }
 
 // --- adaptive offload (the policy engine) ---
 
@@ -442,25 +420,4 @@ func (c *Cluster) AutoBalance(p Policy, opts BalanceOptions) *Balancer {
 	c.bal = b
 	c.mu.Unlock()
 	return b
-}
-
-// WaitTimeout waits up to d for the result; done is false on timeout.
-//
-// Deprecated: use WaitContext (or Client/JobHandle.Wait) with a deadline
-// context. WaitTimeout used to leave a goroutine parked on the job until
-// it eventually finished; it is now a thin shim over WaitContext and will
-// be removed in a future release.
-func (j *Job) WaitTimeout(d time.Duration) (Value, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	v, err := j.inner.WaitContext(ctx)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && !j.inner.Done() {
-		return Value{}, false, nil
-	}
-	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		// The job finished in the instant the deadline fired; report the
-		// real outcome.
-		v, err = j.inner.Wait()
-	}
-	return v, true, err
 }

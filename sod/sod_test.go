@@ -133,25 +133,6 @@ func TestCompileReportExposesTransforms(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	app := sod.Compile(buildApp())
-	cluster, _ := sod.NewCluster(app, sod.Unlimited, sod.Node{ID: 1})
-	p := newPauser()
-	cluster.On(1).BindNative("pause", p.fn)
-	job, err := cluster.On(1).Start("main", sod.Int(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-p.reached
-	if _, done, _ := job.WaitTimeout(20 * time.Millisecond); done {
-		t.Error("job should still be paused")
-	}
-	close(p.release)
-	if _, done, err := job.WaitTimeout(5 * time.Second); !done || err != nil {
-		t.Errorf("job should finish: done=%v err=%v", done, err)
-	}
-}
-
 func TestUnknownNodeAndMethod(t *testing.T) {
 	app := sod.Compile(buildApp())
 	cluster, _ := sod.NewCluster(app, sod.Unlimited, sod.Node{ID: 1})
