@@ -19,6 +19,8 @@ type Table7Row struct {
 	TransferClass time.Duration // t3: class files
 	Restore       time.Duration
 	Latency       time.Duration
+	StateBytes    int64 // captured state shipped to the device
+	ClassBytes    int64 // class files shipped with it
 	Found         int64 // photos found on the device (sanity)
 }
 
@@ -33,6 +35,13 @@ var Table7Bandwidths = []int64{50, 128, 384, 764}
 // Java serialization, on a slow CPU — both captured in the Device system
 // model.
 func Table7(bandwidthKbps int64) (*Table7Row, error) {
+	row, _, err := table7(bandwidthKbps)
+	return row, err
+}
+
+// table7 runs one bandwidth point and also returns the cluster it ran on,
+// so tests can inspect the handset.
+func table7(bandwidthKbps int64) (*Table7Row, *sodee.Cluster, error) {
 	w := workloads.PhotoShare()
 	prog := progFor(sodee.SysSODEE, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Kbps(bandwidthKbps),
@@ -40,7 +49,7 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 		sodee.NodeConfig{ID: 2, System: sodee.SysDevice, Preloaded: false},
 	)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The cluster fabric link between server and device is capped; the
 	// device's photos live on the device.
@@ -66,7 +75,7 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 		value.RefVal(server.VM.Intern("User/Media/DCIM/100APPLE")),
 		value.RefVal(server.VM.Intern("beach")))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	<-gate.reached // listPhotos entered
 	gate.disarm()
@@ -82,11 +91,11 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 	time.Sleep(time.Millisecond)
 	gate.release <- struct{}{}
 	if merr := <-done; merr != nil {
-		return nil, merr
+		return nil, nil, merr
 	}
 	res, err := job.Wait()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Split the measured transfer between state and class bytes by their
@@ -101,9 +110,11 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 		TransferClass: time.Duration(float64(mm.Transfer) * (1 - stateShare)),
 		Restore:       mm.Restore,
 		Latency:       mm.Latency,
+		StateBytes:    mm.StateBytes,
+		ClassBytes:    mm.ClassBytes,
 		Found:         res.I,
 	}
-	return row, nil
+	return row, cluster, nil
 }
 
 // Table7All runs every bandwidth point.
