@@ -2,7 +2,6 @@ package repro_test
 
 import (
 	"repro/internal/experiments"
-	"repro/internal/sodee"
 	"repro/internal/workloads"
 )
 
@@ -15,7 +14,7 @@ func quickKernel() *workloads.Workload {
 }
 
 // migOverhead returns (mig − no-mig) in milliseconds for one system.
-func migOverhead(sys sodee.System, w *workloads.Workload) (float64, error) {
+func migOverhead(sys experiments.System, w *workloads.Workload) (float64, error) {
 	noMig, err := experiments.RunKernel(sys, w, w.DefaultN, false)
 	if err != nil {
 		return 0, err

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sodee"
 )
 
 // logOnce prints a rendered table on the first iteration only.
@@ -63,8 +62,8 @@ func BenchmarkTable2ExecutionTime(b *testing.B) {
 			if r.App != "Fib" {
 				continue
 			}
-			sod := r.Cells[sodee.SysSODEE]
-			xen := r.Cells[sodee.SysXen]
+			sod := r.Cells[experiments.SysSODEE]
+			xen := r.Cells[experiments.SysXen]
 			b.ReportMetric(float64((sod.Mig - sod.NoMig).Milliseconds()), "fib-sod-overhead-ms")
 			b.ReportMetric(float64((xen.Mig - xen.NoMig).Milliseconds()), "fib-xen-overhead-ms")
 		}
@@ -76,11 +75,11 @@ func BenchmarkTable2ExecutionTime(b *testing.B) {
 func BenchmarkTable3Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := quickKernel()
-		sod, err := migOverhead(sodee.SysSODEE, w)
+		sod, err := migOverhead(experiments.SysSODEE, w)
 		if err != nil {
 			b.Fatal(err)
 		}
-		xen, err := migOverhead(sodee.SysXen, w)
+		xen, err := migOverhead(experiments.SysXen, w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,11 +93,11 @@ func BenchmarkTable3Overhead(b *testing.B) {
 func BenchmarkTable4LatencyBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := quickKernel()
-		sod, err := experiments.RunKernel(sodee.SysSODEE, w, w.DefaultN, true)
+		sod, err := experiments.RunKernel(experiments.SysSODEE, w, w.DefaultN, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		gj, err := experiments.RunKernel(sodee.SysGJavaMPI, w, w.DefaultN, true)
+		gj, err := experiments.RunKernel(experiments.SysGJavaMPI, w, w.DefaultN, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,11 +137,11 @@ func BenchmarkTable6LocalityGain(b *testing.B) {
 		logOnce(b, i, experiments.RenderTable6(rows))
 		for _, r := range rows {
 			switch r.System {
-			case sodee.SysSODEE:
+			case experiments.SysSODEE:
 				b.ReportMetric(r.Gain, "sodee-gain-%")
-			case sodee.SysJessica2:
+			case experiments.SysJessica2:
 				b.ReportMetric(r.Gain, "jessica2-gain-%")
-			case sodee.SysXen:
+			case experiments.SysXen:
 				b.ReportMetric(r.Gain, "xen-gain-%")
 			}
 		}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sodee"
 	"repro/internal/workloads"
 )
 
@@ -45,18 +44,18 @@ func main() {
 		w.DefaultN = *n
 	}
 
-	var sys sodee.System
+	var sys experiments.System
 	switch strings.ToLower(*system) {
 	case "sodee":
-		sys = sodee.SysSODEE
+		sys = experiments.SysSODEE
 	case "gjavampi", "g-javampi":
-		sys = sodee.SysGJavaMPI
+		sys = experiments.SysGJavaMPI
 	case "jessica2":
-		sys = sodee.SysJessica2
+		sys = experiments.SysJessica2
 	case "xen":
-		sys = sodee.SysXen
+		sys = experiments.SysXen
 	case "jdk":
-		sys = sodee.SysJDK
+		sys = experiments.SysJDK
 	default:
 		fmt.Fprintf(os.Stderr, "sodrun: unknown system %q\n", *system)
 		os.Exit(2)
@@ -67,7 +66,7 @@ func main() {
 		kr  *experiments.KernelRun
 		err error
 	)
-	if sys == sodee.SysJDK {
+	if sys == experiments.SysJDK {
 		kr, err = experiments.RunJDKReference(w, w.DefaultN)
 	} else {
 		kr, err = experiments.RunKernel(sys, w, w.DefaultN, *migrate)
@@ -77,7 +76,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s(n=%d) on %v: result=%v in %v\n", w.Name, w.DefaultN, sys, kr.Result, time.Since(start).Round(time.Millisecond))
-	if *migrate && sys != sodee.SysJDK {
+	if *migrate && sys != experiments.SysJDK {
 		m := kr.Metrics
 		fmt.Printf("migration: capture=%v transfer=%v restore=%v latency=%v state=%dB classes=%dB\n",
 			m.Capture.Round(time.Microsecond), m.Transfer.Round(time.Microsecond),

@@ -123,7 +123,7 @@ type Instr struct {
 }
 
 var opNames = [...]string{
-	OpNop: "nop",
+	OpNop:   "nop",
 	OpConst: "const", OpIConst: "iconst", OpNull: "null", OpSConst: "sconst",
 	OpLoad: "load", OpStore: "store",
 	OpPop: "pop", OpDup: "dup", OpSwap: "swap",

@@ -334,8 +334,8 @@ const (
 	// RemoteAccessFault only and genuine application NPEs flow to user
 	// code untouched. Behaviour is equivalent, the common path stays
 	// zero-overhead, and the home round-trip for bug-NPEs is avoided.
-	ExRemoteFault  = "RemoteAccessFault"
-	ExInvalidState = "InvalidStateException" // drives frame restoration (Fig 4)
+	ExRemoteFault       = "RemoteAccessFault"
+	ExInvalidState      = "InvalidStateException" // drives frame restoration (Fig 4)
 	ExArithmetic        = "ArithmeticException"
 	ExIndexOutOfBounds  = "IndexOutOfBoundsException"
 	ExClassCast         = "ClassCastException"

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -20,24 +21,38 @@ import (
 // the experiment drivers build: serveBaselines registers their receiving
 // handlers there, and a runtime node serves none of their messages.
 
-// serveBaselines registers, on every node of c, the handler that
-// receives its comparison system's migrations, and boots a guest image
-// of imageBytes on every Xen node. It returns the Xen guests by node id.
-// Call it before any job starts: the guests observe heap writes through
-// the nodes' write hooks.
-func serveBaselines(c *sodee.Cluster, imageBytes int64) map[int]*xenGuest {
+// serveBaselines readies every node of c to run as sys: it installs the
+// system's execution profile, registers the handler that receives its
+// migrations, and boots a guest image of imageBytes on every Xen node. It
+// returns the Xen guests by node id. Call it before any job starts:
+// threads copy the profile's hook when they start, and the guests observe
+// heap writes through the nodes' write hooks.
+func serveBaselines(c *sodee.Cluster, sys System, imageBytes int64) map[int]*xenGuest {
 	guests := make(map[int]*xenGuest)
 	for id, n := range c.Nodes {
-		switch n.System {
-		case sodee.SysGJavaMPI:
+		switch sys {
+		case SysGJavaMPI:
 			n.EP.Handle(netsim.KindProcMigrate, func(from int, payload []byte) ([]byte, error) {
 				return handleProcMigrate(n, payload)
 			})
-		case sodee.SysJessica2:
+		case SysJessica2:
+			n.VM.Profile.InstrHook = func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
+				spin(jessicaSpinPerInstr)
+				return nil
+			}
 			n.EP.Handle(netsim.KindThreadMigrate, func(from int, payload []byte) ([]byte, error) {
 				return handleThreadMigrate(n, payload)
 			})
-		case sodee.SysXen:
+		case SysXen:
+			var ctr int
+			n.VM.Profile.InstrHook = func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
+				ctr++
+				if ctr >= xenInstrPerExit {
+					ctr = 0
+					spin(xenSpinPerExit)
+				}
+				return nil
+			}
 			n.EP.Handle(netsim.KindPage, handlePage)
 			g := newXenGuest(imageBytes, id)
 			n.VM.Heap.WriteHook = func(ref value.Ref, o *vm.Object) { g.touch(ref, o.ByteSize()) }
@@ -45,6 +60,28 @@ func serveBaselines(c *sodee.Cluster, imageBytes int64) map[int]*xenGuest {
 		}
 	}
 	return guests
+}
+
+// Execution-profile costs. Values are chosen so the relative slowdowns
+// land in the paper's observed ranges: JESSICA2 ~4-20× JDK depending on
+// workload, Xen ~1.5-2×.
+const (
+	jessicaSpinPerInstr = 14
+	xenSpinPerExit      = 12000
+	xenInstrPerExit     = 4096
+)
+
+// spinSink defeats dead-code elimination; atomic because profile hooks
+// run on every interpreter thread concurrently.
+var spinSink atomic.Uint64
+
+// spin burns n iterations of CPU.
+func spin(n int) {
+	s := spinSink.Load()
+	for i := 0; i < n; i++ {
+		s = s*6364136223846793005 + 1442695040888963407
+	}
+	spinSink.Store(s)
 }
 
 // encodeReply and decodeReply carry a destination's arrival time and
@@ -68,10 +105,10 @@ func decodeReply(reply []byte) (arrival time.Time, restore time.Duration, err er
 // migrateProcess moves the *entire* process — full stack, full heap, all
 // statics — from n to dest, with every object exported through Java
 // serialization, exactly the cost profile §IV.A attributes to G-JavaMPI.
-func migrateProcess(n *sodee.Node, job *sodee.Job, dest int) (*sodee.MigrationMetrics, error) {
+func migrateProcess(n *sodee.Node, job *sodee.Job, dest int) (*MigrationMetrics, error) {
 	th := job.Thread()
 	if th == nil || n.Agent == nil {
-		return nil, fmt.Errorf("experiments: process migration unavailable on %v", n.System)
+		return nil, fmt.Errorf("experiments: process migration unavailable on node %d", n.ID)
 	}
 	t0 := time.Now()
 	parked, err := n.Agent.SuspendAtSafePoint(th)
@@ -113,10 +150,10 @@ func migrateProcess(n *sodee.Node, job *sodee.Job, dest int) (*sodee.MigrationMe
 	w := wire.NewWriter(1 << 16)
 	w.Varint(int64(n.ID))
 	w.Uvarint(job.ID)
-	w.Blob(serial.EncodeCapturedState(cs, n.Prog, n.Codec))
+	w.Blob(serial.EncodeCapturedState(cs, n.Prog, serial.JavaSer))
 	w.Uvarint(uint64(len(heap)))
 	for i := range heap {
-		w.Blob(serial.EncodeObject(&heap[i], n.Prog, n.Codec))
+		w.Blob(serial.EncodeObject(&heap[i], n.Prog, serial.JavaSer))
 	}
 	// All classes ship with the process image.
 	var classBytes int64
@@ -137,18 +174,15 @@ func migrateProcess(n *sodee.Node, job *sodee.Job, dest int) (*sodee.MigrationMe
 	if err != nil {
 		return nil, err
 	}
-	mm := sodee.MigrationMetrics{
-		System:     n.System,
+	mm := &MigrationMetrics{MigrationMetrics: sodee.MigrationMetrics{
 		Capture:    captureDone.Sub(t0),
 		Transfer:   arrival.Sub(sendStart),
 		Restore:    restoreDur,
 		StateBytes: int64(len(payload)),
-		HeapBytes:  n.VM.Heap.Bytes(),
 		ClassBytes: classBytes,
-	}
+	}, HeapBytes: n.VM.Heap.Bytes()}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
-	mm.Freeze = mm.Latency
-	return &mm, nil
+	return mm, nil
 }
 
 func handleProcMigrate(n *sodee.Node, payload []byte) ([]byte, error) {
@@ -160,13 +194,13 @@ func handleProcMigrate(n *sodee.Node, payload []byte) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	cs, err := serial.DecodeCapturedState(csBuf, n.Prog, n.Codec)
+	cs, err := serial.DecodeCapturedState(csBuf, n.Prog, serial.JavaSer)
 	if err != nil {
 		return nil, err
 	}
 	var heap []serial.WireObject
 	for i, nh := 0, int(r.Uvarint()); i < nh && r.Err() == nil; i++ {
-		wo, derr := serial.DecodeObject(r.BlobView(), n.Prog, n.Codec)
+		wo, derr := serial.DecodeObject(r.BlobView(), n.Prog, serial.JavaSer)
 		if derr != nil {
 			return nil, derr
 		}
@@ -273,7 +307,7 @@ func staticArrays(v *vm.VM, cs *serial.CapturedState) []staticArray {
 // restore are direct structure copies inside the VM (no tool-interface
 // costs), the heap stays home behind the status-check DSM, and the
 // destination eagerly allocates static arrays at class-load time.
-func migrateThread(n *sodee.Node, job *sodee.Job, dest int) (*sodee.MigrationMetrics, error) {
+func migrateThread(n *sodee.Node, job *sodee.Job, dest int) (*MigrationMetrics, error) {
 	th := job.Thread()
 	if th == nil {
 		return nil, fmt.Errorf("experiments: job has no local thread")
@@ -319,16 +353,14 @@ func migrateThread(n *sodee.Node, job *sodee.Job, dest int) (*sodee.MigrationMet
 	if err != nil {
 		return nil, err
 	}
-	mm := sodee.MigrationMetrics{
-		System:     n.System,
+	mm := &MigrationMetrics{MigrationMetrics: sodee.MigrationMetrics{
 		Capture:    captureDone.Sub(t0),
 		Transfer:   arrival.Sub(sendStart),
 		Restore:    restoreDur,
 		StateBytes: int64(len(payload)),
-	}
+	}}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
-	mm.Freeze = mm.Latency
-	return &mm, nil
+	return mm, nil
 }
 
 func handleThreadMigrate(n *sodee.Node, payload []byte) ([]byte, error) {
@@ -460,9 +492,9 @@ func (g *xenGuest) drainDirty() int {
 // running; the final stop-and-copy round freezes the guest briefly. The
 // guest then runs at dest, which is what changes data locality for the
 // §IV.C experiment.
-func migrateVM(n *sodee.Node, g *xenGuest, job *sodee.Job, dest int) (*sodee.MigrationMetrics, error) {
+func migrateVM(n *sodee.Node, g *xenGuest, job *sodee.Job, dest int) (*MigrationMetrics, error) {
 	t0 := time.Now()
-	mm := sodee.MigrationMetrics{System: n.System}
+	mm := &MigrationMetrics{}
 
 	// Iterative pre-copy: the guest (workload thread) keeps executing.
 	for round := 0; round < maxPrecopyRounds; round++ {
@@ -505,7 +537,7 @@ func migrateVM(n *sodee.Node, g *xenGuest, job *sodee.Job, dest int) (*sodee.Mig
 	mm.Transfer = mm.Latency
 	mm.StateBytes = int64(final+1) * pageSize
 	mm.HeapBytes = int64(g.numPages) * pageSize
-	return &mm, nil
+	return mm, nil
 }
 
 // sendPages transfers a batch of guest pages, paying real wire time.

@@ -88,16 +88,16 @@ func (g *gate) native(t *vm.Thread, args []value.Value) (value.Value, *vm.Raised
 // baselineCluster builds a two-node cluster of sys over the workload
 // preprocessed with opts, serving sys's migrations, with the gate bound
 // on both nodes.
-func baselineCluster(t *testing.T, sys sodee.System, opts preprocess.Options, imageBytes int64) (*sodee.Cluster, map[int]*xenGuest, *gate) {
+func baselineCluster(t *testing.T, sys System, opts preprocess.Options, imageBytes int64) (*sodee.Cluster, map[int]*xenGuest, *gate) {
 	t.Helper()
 	c, err := sodee.NewCluster(preprocess.MustPreprocess(buildWorkload(), opts), netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sys, Preloaded: true},
+		sodee.NodeConfig{ID: 1, Preloaded: true},
+		sodee.NodeConfig{ID: 2, Preloaded: true},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guests := serveBaselines(c, imageBytes)
+	guests := serveBaselines(c, sys, imageBytes)
 	g := &gate{reached: make(chan struct{}), release: make(chan struct{})}
 	for _, n := range c.Nodes {
 		n.VM.BindNative("test_gate", g.native)
@@ -122,11 +122,11 @@ func makeData(t *testing.T, n *sodee.Node) value.Ref {
 // migrateWhileRunning waits for the gate, issues the migration
 // concurrently with releasing the gate, and returns the migration
 // metrics.
-func migrateWhileRunning(t *testing.T, g *gate, do func() (*sodee.MigrationMetrics, error)) *sodee.MigrationMetrics {
+func migrateWhileRunning(t *testing.T, g *gate, do func() (*MigrationMetrics, error)) *MigrationMetrics {
 	t.Helper()
 	<-g.reached
 	type out struct {
-		mm  *sodee.MigrationMetrics
+		mm  *MigrationMetrics
 		err error
 	}
 	ch := make(chan out, 1)
@@ -144,7 +144,7 @@ func migrateWhileRunning(t *testing.T, g *gate, do func() (*sodee.MigrationMetri
 }
 
 func TestProcessMigrationGJavaMPI(t *testing.T) {
-	c, _, g := baselineCluster(t, sodee.SysGJavaMPI,
+	c, _, g := baselineCluster(t, SysGJavaMPI,
 		preprocess.Options{Mode: preprocess.ModeNone, Restore: true}, 0)
 	home := c.Nodes[1]
 	d := makeData(t, home)
@@ -152,7 +152,7 @@ func TestProcessMigrationGJavaMPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
+	mm := migrateWhileRunning(t, g, func() (*MigrationMetrics, error) {
 		return migrateProcess(home, job, 2)
 	})
 	res, err := job.Wait()
@@ -172,7 +172,7 @@ func TestProcessMigrationGJavaMPI(t *testing.T) {
 }
 
 func TestThreadMigrationJessica2(t *testing.T) {
-	c, _, g := baselineCluster(t, sodee.SysJessica2,
+	c, _, g := baselineCluster(t, SysJessica2,
 		preprocess.Options{Mode: preprocess.ModeStatusCheck, Restore: false}, 0)
 	home := c.Nodes[1]
 	d := makeData(t, home)
@@ -180,7 +180,7 @@ func TestThreadMigrationJessica2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
+	migrateWhileRunning(t, g, func() (*MigrationMetrics, error) {
 		return migrateThread(home, job, 2)
 	})
 	res, err := job.Wait()
@@ -197,7 +197,7 @@ func TestThreadMigrationJessica2(t *testing.T) {
 }
 
 func TestVMMigrationXen(t *testing.T) {
-	c, guests, g := baselineCluster(t, sodee.SysXen,
+	c, guests, g := baselineCluster(t, SysXen,
 		preprocess.Options{Mode: preprocess.ModeNone, Restore: false}, 4<<20)
 	home := c.Nodes[1]
 	d := makeData(t, home)
@@ -205,7 +205,7 @@ func TestVMMigrationXen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := migrateWhileRunning(t, g, func() (*sodee.MigrationMetrics, error) {
+	mm := migrateWhileRunning(t, g, func() (*MigrationMetrics, error) {
 		return migrateVM(home, guests[1], job, 2)
 	})
 	res, err := job.Wait()

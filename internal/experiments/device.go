@@ -24,6 +24,11 @@ type Table7Row struct {
 	Found         int64 // photos found on the device (sanity)
 }
 
+// deviceSlow is the handset's per-instruction throttle: with the
+// interpreter's own cost it lands near the iPhone's 412 MHz ARM, about
+// 15× slower than the server.
+const deviceSlow = 40
+
 // Table7Bandwidths are the paper's router settings (764 = "unlimited" as
 // measured over their Wi-Fi).
 var Table7Bandwidths = []int64{50, 128, 384, 764}
@@ -31,9 +36,8 @@ var Table7Bandwidths = []int64{50, 128, 384, 764}
 // Table7 reproduces the migration-latency-vs-bandwidth experiment: a
 // photo-sharing server (SODEE, node 1) pushes its listPhotos frame to an
 // iPhone-class device (node 2) over a bandwidth-capped link. The device
-// profile has no tool interface: restoration happens at "Java level" with
-// Java serialization, on a slow CPU — both captured in the Device system
-// model.
+// has no tool interface: restoration happens at "Java level" with Java
+// serialization, on a slow CPU (deviceSlow).
 func Table7(bandwidthKbps int64) (*Table7Row, error) {
 	row, _, err := table7(bandwidthKbps)
 	return row, err
@@ -43,10 +47,10 @@ func Table7(bandwidthKbps int64) (*Table7Row, error) {
 // so tests can inspect the handset.
 func table7(bandwidthKbps int64) (*Table7Row, *sodee.Cluster, error) {
 	w := workloads.PhotoShare()
-	prog := progFor(sodee.SysSODEE, w)
+	prog := progFor(SysSODEE, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Kbps(bandwidthKbps),
-		sodee.NodeConfig{ID: 1, System: sodee.SysSODEE, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sodee.SysDevice, Preloaded: false},
+		sodee.NodeConfig{ID: 1, Preloaded: true},
+		sodee.NodeConfig{ID: 2, Agentless: true, Slow: deviceSlow},
 	)
 	if err != nil {
 		return nil, nil, err

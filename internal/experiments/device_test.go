@@ -11,8 +11,8 @@ func TestTable7DeviceHopGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.StateBytes != 188 || row.ClassBytes != 804 {
-		t.Errorf("device hop shipped state/class = %d/%d B, want 188/804", row.StateBytes, row.ClassBytes)
+	if row.StateBytes != 187 || row.ClassBytes != 804 {
+		t.Errorf("device hop shipped state/class = %d/%d B, want 187/804", row.StateBytes, row.ClassBytes)
 	}
 	if row.Found != 4 {
 		t.Errorf("found %d beach photos on the device, want 4", row.Found)

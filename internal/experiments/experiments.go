@@ -23,15 +23,65 @@ import (
 	"repro/internal/workloads"
 )
 
+// System names one of the systems the paper evaluates (§IV). Only the
+// experiment drivers know them: every node is a plain runtime node, and a
+// system is the program variant, execution profile and migration driver
+// the drivers pick for it.
+type System int
+
+const (
+	// SysSODEE is the paper's system: tool agent, object faulting,
+	// breakpoint-driven restoration, fast codec.
+	SysSODEE System = iota
+	// SysJDK is the plain reference VM: no agent, no migration.
+	SysJDK
+	// SysGJavaMPI migrates whole processes eagerly over the debugger
+	// interface with Java serialization.
+	SysGJavaMPI
+	// SysJessica2 migrates threads inside the VM: direct capture and
+	// restore, a slower engine (the old Kaffe JIT), status-check DSM,
+	// eager static allocation.
+	SysJessica2
+	// SysXen live-migrates the OS image with iterative pre-copy and pays
+	// virtualization overhead on execution.
+	SysXen
+)
+
+func (s System) String() string {
+	switch s {
+	case SysJDK:
+		return "JDK"
+	case SysSODEE:
+		return "SODEE"
+	case SysGJavaMPI:
+		return "G-JavaMPI"
+	case SysJessica2:
+		return "JESSICA2"
+	case SysXen:
+		return "Xen"
+	}
+	return "unknown"
+}
+
+// MigrationMetrics is one migration's cost as a comparison driver
+// reports it: the runtime's breakdown plus what only the eager-copy and
+// pre-copy systems have.
+type MigrationMetrics struct {
+	sodee.MigrationMetrics
+	HeapBytes int64         // eager-copy systems only
+	Rounds    int           // pre-copy rounds (Xen)
+	Freeze    time.Duration // guest stopped (Xen; the others freeze for the whole Latency)
+}
+
 // progFor preprocesses a workload for a system, mirroring what each
 // paper system's toolchain does to application code.
-func progFor(sys sodee.System, w *workloads.Workload) *bytecode.Program {
+func progFor(sys System, w *workloads.Workload) *bytecode.Program {
 	switch sys {
-	case sodee.SysSODEE, sodee.SysDevice:
+	case SysSODEE:
 		return preprocess.MustPreprocess(w.Prog, preprocess.Options{Mode: preprocess.ModeFaulting, Restore: true})
-	case sodee.SysGJavaMPI:
+	case SysGJavaMPI:
 		return preprocess.MustPreprocess(w.Prog, preprocess.Options{Mode: preprocess.ModeNone, Restore: true})
-	case sodee.SysJessica2:
+	case SysJessica2:
 		return preprocess.MustPreprocess(w.Prog, preprocess.Options{Mode: preprocess.ModeStatusCheck, Restore: false})
 	default: // JDK, Xen run the original code
 		return w.Prog
@@ -74,34 +124,38 @@ func (g *checkpointGate) disarm() {
 
 // KernelRun is the outcome of one measured kernel execution.
 type KernelRun struct {
-	System   sodee.System
+	System   System
 	Migrated bool
 	Elapsed  time.Duration
 	Result   value.Value
-	Metrics  sodee.MigrationMetrics
+	Metrics  MigrationMetrics
 }
 
 // migrator issues the system's migration primitive during a gated run.
-type migrator func(home *sodee.Node, guest *xenGuest, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error)
+type migrator func(home *sodee.Node, guest *xenGuest, job *sodee.Job, w *workloads.Workload) (*MigrationMetrics, error)
 
-func migratorFor(sys sodee.System) migrator {
+func migratorFor(sys System) migrator {
 	switch sys {
-	case sodee.SysSODEE:
-		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, w *workloads.Workload) (*sodee.MigrationMetrics, error) {
-			return home.Mgr.MigrateSOD(job, sodee.SODOptions{
+	case SysSODEE:
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, w *workloads.Workload) (*MigrationMetrics, error) {
+			mm, err := home.Mgr.MigrateSOD(job, sodee.SODOptions{
 				NFrames: w.MigrateFrames, Dest: 2, Flow: sodee.FlowReturnHome,
 			})
+			if err != nil {
+				return nil, err
+			}
+			return &MigrationMetrics{MigrationMetrics: *mm}, nil
 		}
-	case sodee.SysGJavaMPI:
-		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+	case SysGJavaMPI:
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*MigrationMetrics, error) {
 			return migrateProcess(home, job, 2)
 		}
-	case sodee.SysJessica2:
-		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+	case SysJessica2:
+		return func(home *sodee.Node, _ *xenGuest, job *sodee.Job, _ *workloads.Workload) (*MigrationMetrics, error) {
 			return migrateThread(home, job, 2)
 		}
-	case sodee.SysXen:
-		return func(home *sodee.Node, guest *xenGuest, job *sodee.Job, _ *workloads.Workload) (*sodee.MigrationMetrics, error) {
+	case SysXen:
+		return func(home *sodee.Node, guest *xenGuest, job *sodee.Job, _ *workloads.Workload) (*MigrationMetrics, error) {
 			return migrateVM(home, guest, job, 2)
 		}
 	}
@@ -110,16 +164,16 @@ func migratorFor(sys sodee.System) migrator {
 
 // RunKernel executes workload w once on a two-node cluster of the given
 // system, optionally migrating once at the workload's checkpoint.
-func RunKernel(sys sodee.System, w *workloads.Workload, n int64, migrate bool) (*KernelRun, error) {
+func RunKernel(sys System, w *workloads.Workload, n int64, migrate bool) (*KernelRun, error) {
 	prog := progFor(sys, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sys, Preloaded: sys != sodee.SysSODEE},
+		sodee.NodeConfig{ID: 1, Preloaded: true},
+		sodee.NodeConfig{ID: 2, Preloaded: sys != SysSODEE},
 	)
 	if err != nil {
 		return nil, err
 	}
-	guests := serveBaselines(cluster, 16<<20)
+	guests := serveBaselines(cluster, sys, 16<<20)
 	gate := newCheckpointGate(migrate)
 	for _, node := range cluster.Nodes {
 		workloads.BindCommon(node.VM)
@@ -133,7 +187,7 @@ func RunKernel(sys sodee.System, w *workloads.Workload, n int64, migrate bool) (
 		return nil, err
 	}
 
-	var mm *sodee.MigrationMetrics
+	var mm *MigrationMetrics
 	if migrate {
 		mig := migratorFor(sys)
 		if mig == nil {
@@ -147,7 +201,7 @@ func RunKernel(sys sodee.System, w *workloads.Workload, n int64, migrate bool) (
 			mm, merr = mig(home, guests[home.ID], job, w)
 			done <- merr
 		}()
-		if sys != sodee.SysXen {
+		if sys != SysXen {
 			// Give the suspend request a moment to land before the thread
 			// leaves the checkpoint (Xen migrates live; no ordering needed).
 			time.Sleep(time.Millisecond)
@@ -179,8 +233,8 @@ func RunJDKReference(w *workloads.Workload, n int64) (*KernelRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KernelRun{System: sodee.SysJDK, Elapsed: time.Since(start), Result: res}, nil
+	return &KernelRun{System: SysJDK, Elapsed: time.Since(start), Result: res}, nil
 }
 
 // AllSystems lists the comparison systems in paper order.
-var AllSystems = []sodee.System{sodee.SysSODEE, sodee.SysGJavaMPI, sodee.SysJessica2, sodee.SysXen}
+var AllSystems = []System{SysSODEE, SysGJavaMPI, SysJessica2, SysXen}

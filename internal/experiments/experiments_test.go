@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sodee"
 	"repro/internal/workloads"
 )
 
@@ -26,7 +25,7 @@ func TestRunKernelAllSystemsAgree(t *testing.T) {
 			if !kr.Result.Equal(jdk.Result) {
 				t.Errorf("%v mig=%v: result %v, want %v", sys, mig, kr.Result, jdk.Result)
 			}
-			if mig && sys != sodee.SysXen && kr.Metrics.StateBytes == 0 {
+			if mig && sys != experiments.SysXen && kr.Metrics.StateBytes == 0 {
 				t.Errorf("%v: migrated run should record state bytes", sys)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sodee"
 	"repro/internal/workloads"
 )
 
@@ -13,30 +12,24 @@ import (
 // exactly from run to run, so any change to what a system ships — its
 // message layout, its codec, what it captures — shows up here as a
 // changed row rather than as a quietly different paper table.
-//
-// The SODEE and G-JavaMPI state counts are each one byte below what they
-// were while every captured state carried a JESSICA2 allocation-hint
-// count (71, 95, 1808 and 33677602): both systems ship a CapturedState,
-// and that count byte left its encoding. JESSICA2 now sends its hints in
-// its own message, so its counts still include them.
 func TestComparisonRowsGolden(t *testing.T) {
 	type row struct{ state, class, heap int64 }
 	cases := []struct {
 		w    *workloads.Workload
 		n    int64
-		want map[sodee.System]row
+		want map[experiments.System]row
 	}{
-		{workloads.Fib(), 18, map[sodee.System]row{
-			sodee.SysSODEE:    {70, 218, 0},
-			sodee.SysGJavaMPI: {1807, 659, 32},
-			sodee.SysJessica2: {189, 0, 0},
-			sodee.SysXen:      {4096, 0, 16777216},
+		{workloads.Fib(), 18, map[experiments.System]row{
+			experiments.SysSODEE:    {69, 218, 0},
+			experiments.SysGJavaMPI: {1807, 659, 32},
+			experiments.SysJessica2: {189, 0, 0},
+			experiments.SysXen:      {4096, 0, 16777216},
 		}},
-		{workloads.FFT(), workloads.FFT().DefaultN, map[sodee.System]row{
-			sodee.SysSODEE:    {94, 1663, 0},
-			sodee.SysGJavaMPI: {33677601, 1895, 33665056},
-			sodee.SysJessica2: {78, 0, 0},
-			sodee.SysXen:      {4096, 0, 16777216},
+		{workloads.FFT(), workloads.FFT().DefaultN, map[experiments.System]row{
+			experiments.SysSODEE:    {93, 1663, 0},
+			experiments.SysGJavaMPI: {33677601, 1895, 33665056},
+			experiments.SysJessica2: {78, 0, 0},
+			experiments.SysXen:      {4096, 0, 16777216},
 		}},
 	}
 	for _, c := range cases {
@@ -51,7 +44,7 @@ func TestComparisonRowsGolden(t *testing.T) {
 				t.Errorf("%s on %v: state/class/heap = %d/%d/%d, want %d/%d/%d",
 					c.w.Name, sys, got.state, got.class, got.heap, want.state, want.class, want.heap)
 			}
-			if sys == sodee.SysXen && mm.Rounds < 1 {
+			if sys == experiments.SysXen && mm.Rounds < 1 {
 				t.Errorf("%s on Xen: %d pre-copy rounds, want at least 1", c.w.Name, mm.Rounds)
 			}
 		}

@@ -24,7 +24,7 @@ const (
 
 // Table6Row is one system's locality measurement.
 type Table6Row struct {
-	System   sodee.System
+	System   System
 	NoMig    time.Duration // started and finished on the NFS client
 	Mig      time.Duration // migrated to the NFS server before reading
 	OnServer time.Duration // started on the NFS server (reference)
@@ -32,17 +32,17 @@ type Table6Row struct {
 }
 
 // localitySetup builds a fresh 2-node cluster + corpus for one run.
-func localitySetup(sys sodee.System) (*sodee.Cluster, map[int]*xenGuest, *nfs.Server, *checkpointGate, error) {
+func localitySetup(sys System) (*sodee.Cluster, map[int]*xenGuest, *nfs.Server, *checkpointGate, error) {
 	w := workloads.TextSearch()
 	prog := progFor(sys, w)
 	cluster, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sys, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sys, Preloaded: true},
+		sodee.NodeConfig{ID: 1, Preloaded: true},
+		sodee.NodeConfig{ID: 2, Preloaded: true},
 	)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	guests := serveBaselines(cluster, Table6XenImage)
+	guests := serveBaselines(cluster, sys, Table6XenImage)
 	fs := nfs.NewServer(cluster.Net)
 	for i := 0; i < 3; i++ {
 		fs.Host(nfs.File{
@@ -61,7 +61,7 @@ func localitySetup(sys sodee.System) (*sodee.Cluster, map[int]*xenGuest, *nfs.Se
 		if g := guests[id]; g != nil {
 			env.Location = g.location
 		}
-		if sys == sodee.SysJessica2 {
+		if sys == SysJessica2 {
 			env.ChunkPenalty = jessicaChunkIO
 		}
 		env.Bind(node.VM)
@@ -92,7 +92,7 @@ func runSearch(cluster *sodee.Cluster, fs *nfs.Server, startOn int) (time.Durati
 	return time.Since(start), nil
 }
 
-func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, guests map[int]*xenGuest, fs *nfs.Server, gate *checkpointGate) (time.Duration, error) {
+func runSearchMigrated(sys System, cluster *sodee.Cluster, guests map[int]*xenGuest, fs *nfs.Server, gate *checkpointGate) (time.Duration, error) {
 	fs.ClearCaches()
 	home := cluster.Nodes[1]
 	gate.mu.Lock()
@@ -109,20 +109,20 @@ func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, guests map[int]
 	go func() {
 		var merr error
 		switch sys {
-		case sodee.SysSODEE:
+		case SysSODEE:
 			// Move the whole execution to the server (Fig 1b: total
 			// migration), as the paper's run does.
 			_, merr = home.Mgr.MigrateSOD(job, sodee.SODOptions{NFrames: 2, Dest: 2, Flow: sodee.FlowTotal})
-		case sodee.SysJessica2:
+		case SysJessica2:
 			_, merr = migrateThread(home, job, 2)
-		case sodee.SysXen:
+		case SysXen:
 			_, merr = migrateVM(home, guests[home.ID], job, 2)
 		default:
 			merr = fmt.Errorf("unsupported system %v", sys)
 		}
 		done <- merr
 	}()
-	if sys != sodee.SysXen {
+	if sys != SysXen {
 		time.Sleep(time.Millisecond)
 	}
 	gate.release <- struct{}{}
@@ -138,7 +138,7 @@ func runSearchMigrated(sys sodee.System, cluster *sodee.Cluster, guests map[int]
 // Table6 reproduces the locality-gain comparison for the NFS text search.
 func Table6() ([]Table6Row, error) {
 	var rows []Table6Row
-	for _, sys := range []sodee.System{sodee.SysJessica2, sodee.SysXen, sodee.SysSODEE} {
+	for _, sys := range []System{SysJessica2, SysXen, SysSODEE} {
 		cluster, _, fs, _, err := localitySetup(sys)
 		if err != nil {
 			return nil, err
@@ -183,10 +183,10 @@ type RoamResult struct {
 func Roaming() (*RoamResult, error) {
 	build := func() (*sodee.Cluster, *nfs.Server, *checkpointGate, []string, error) {
 		w := workloads.TextSearch()
-		prog := progFor(sodee.SysSODEE, w)
-		cfgs := []sodee.NodeConfig{{ID: 1, System: sodee.SysSODEE, Preloaded: true}}
+		prog := progFor(SysSODEE, w)
+		cfgs := []sodee.NodeConfig{{ID: 1, Preloaded: true}}
 		for i := 0; i < RoamServers; i++ {
-			cfgs = append(cfgs, sodee.NodeConfig{ID: 2 + i, System: sodee.SysSODEE, Preloaded: true})
+			cfgs = append(cfgs, sodee.NodeConfig{ID: 2 + i, Preloaded: true})
 		}
 		// WAN-ish links: 200 Mbps, 2 ms.
 		cluster, err := sodee.NewCluster(prog, netsim.LinkSpec{BandwidthBps: 200_000_000, Latency: 2 * time.Millisecond}, cfgs...)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/sodee"
 )
 
 // ms renders a duration as milliseconds with two decimals.
@@ -72,7 +70,7 @@ func RenderTable3(rows []Table3Row) string {
 func RenderTable4(rows []Table4Row) string {
 	var b strings.Builder
 	b.WriteString("TABLE IV: MIGRATION LATENCY IN DIFFERENT SYSTEMS (ms: capture / transfer / restore = total)\n")
-	systems := []sodee.System{sodee.SysSODEE, sodee.SysGJavaMPI, sodee.SysJessica2}
+	systems := []System{SysSODEE, SysGJavaMPI, SysJessica2}
 	fmt.Fprintf(&b, "%-5s", "App")
 	for _, sys := range systems {
 		fmt.Fprintf(&b, " %34s", sys)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/preprocess"
-	"repro/internal/sodee"
 	"repro/internal/value"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -71,14 +70,14 @@ type Table2Cell struct {
 	NoMig time.Duration
 	Mig   time.Duration
 	// Metrics of the migration performed in the Mig run.
-	Metrics sodee.MigrationMetrics
+	Metrics MigrationMetrics
 }
 
 // Table2Row covers one application across all systems.
 type Table2Row struct {
 	App   string
 	JDK   time.Duration
-	Cells map[sodee.System]*Table2Cell
+	Cells map[System]*Table2Cell
 	// C0: side effect of code instrumentation (preprocessed vs original,
 	// no agent); C1: cost of the attached agent (SODEE no-mig vs JDK).
 	C0 float64
@@ -89,7 +88,7 @@ type Table2Row struct {
 func Table2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, w := range workloads.All() {
-		row := Table2Row{App: w.Name, Cells: make(map[sodee.System]*Table2Cell)}
+		row := Table2Row{App: w.Name, Cells: make(map[System]*Table2Cell)}
 
 		jdk, err := RunJDKReference(w, w.DefaultN)
 		if err != nil {
@@ -98,7 +97,7 @@ func Table2() ([]Table2Row, error) {
 		row.JDK = jdk.Elapsed
 
 		// C0: preprocessed code on a bare VM.
-		ppProg := progFor(sodee.SysSODEE, w)
+		ppProg := progFor(SysSODEE, w)
 		v := vm.New(ppProg, 1, true)
 		workloads.BindCommon(v)
 		t0 := time.Now()
@@ -123,7 +122,7 @@ func Table2() ([]Table2Row, error) {
 			cell.Metrics = mig.Metrics
 			row.Cells[sys] = cell
 		}
-		row.C1 = float64(row.Cells[sodee.SysSODEE].NoMig-c0run) / float64(jdk.Elapsed) * 100
+		row.C1 = float64(row.Cells[SysSODEE].NoMig-c0run) / float64(jdk.Elapsed) * 100
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -132,8 +131,8 @@ func Table2() ([]Table2Row, error) {
 // Table3Row is the migration overhead derived from Table II.
 type Table3Row struct {
 	App      string
-	Overhead map[sodee.System]time.Duration
-	Percent  map[sodee.System]float64
+	Overhead map[System]time.Duration
+	Percent  map[System]float64
 }
 
 // Table3 derives migration overheads (mig − no-mig) from Table II rows.
@@ -142,8 +141,8 @@ func Table3(t2 []Table2Row) []Table3Row {
 	for _, r := range t2 {
 		row := Table3Row{
 			App:      r.App,
-			Overhead: make(map[sodee.System]time.Duration),
-			Percent:  make(map[sodee.System]float64),
+			Overhead: make(map[System]time.Duration),
+			Percent:  make(map[System]float64),
 		}
 		for sys, c := range r.Cells {
 			ov := c.Mig - c.NoMig
@@ -162,7 +161,7 @@ func Table3(t2 []Table2Row) []Table3Row {
 // for the lightweight systems.
 type Table4Row struct {
 	App   string
-	Parts map[sodee.System]sodee.MigrationMetrics
+	Parts map[System]MigrationMetrics
 }
 
 // Table4 extracts latency breakdowns from Table II's migrated runs for
@@ -171,8 +170,8 @@ type Table4Row struct {
 func Table4(t2 []Table2Row) []Table4Row {
 	var rows []Table4Row
 	for _, r := range t2 {
-		row := Table4Row{App: r.App, Parts: make(map[sodee.System]sodee.MigrationMetrics)}
-		for _, sys := range []sodee.System{sodee.SysSODEE, sodee.SysGJavaMPI, sodee.SysJessica2} {
+		row := Table4Row{App: r.App, Parts: make(map[System]MigrationMetrics)}
+		for _, sys := range []System{SysSODEE, SysGJavaMPI, SysJessica2} {
 			row.Parts[sys] = r.Cells[sys].Metrics
 		}
 		rows = append(rows, row)

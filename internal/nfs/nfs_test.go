@@ -108,7 +108,7 @@ func TestBufferCacheHitsAndClear(t *testing.T) {
 	fs := newFS()
 	fs.Host(File{Name: "a", Host: 2, Size: ChunkSize, Seed: 1})
 	buf := make([]byte, 100)
-	fs.Read(1, "a", 0, buf) //nolint:errcheck
+	fs.Read(1, "a", 0, buf)  //nolint:errcheck
 	fs.Read(1, "a", 50, buf) //nolint:errcheck // same chunk → cache
 	if fs.CacheHits != 1 {
 		t.Errorf("cache hits = %d, want 1", fs.CacheHits)

@@ -14,11 +14,11 @@ import (
 
 // world wires two nodes with object managers over an unshaped fabric.
 type world struct {
-	prog         *bytecode.Program
-	net          *netsim.Network
-	vmA, vmB     *vm.VM
-	omA, omB     *objman.Manager
-	boxClass     int32
+	prog     *bytecode.Program
+	net      *netsim.Network
+	vmA, vmB *vm.VM
+	omA, omB *objman.Manager
+	boxClass int32
 }
 
 func newWorld(t *testing.T) *world {
@@ -35,8 +35,8 @@ func newWorld(t *testing.T) *world {
 	vmB := vm.New(prog, 2, true)
 	w := &world{
 		prog: prog, net: net, vmA: vmA, vmB: vmB,
-		omA: objman.New(vmA, prog, net.Node(1), serial.Fast),
-		omB: objman.New(vmB, prog, net.Node(2), serial.Fast),
+		omA:      objman.New(vmA, prog, net.Node(1), serial.Fast),
+		omB:      objman.New(vmB, prog, net.Node(2), serial.Fast),
 		boxClass: prog.ClassByName("Box"),
 	}
 	return w

@@ -21,9 +21,9 @@ type Span struct {
 	ID     uint64        `json:"id"`
 	Parent uint64        `json:"parent"` // 0 = root
 	Job    uint64        `json:"job"`
-	Node   int           `json:"node"`             // node that did the work
-	Dest   int           `json:"dest,omitempty"`   // migration destination, 0 if n/a
-	Name   string        `json:"name"`             // job|migrate|capture|transfer|restore|plant|forward
+	Node   int           `json:"node"`           // node that did the work
+	Dest   int           `json:"dest,omitempty"` // migration destination, 0 if n/a
+	Name   string        `json:"name"`           // job|migrate|capture|transfer|restore|plant|forward
 	Start  time.Time     `json:"start"`
 	Dur    time.Duration `json:"dur"`
 	Bytes  int64         `json:"bytes,omitempty"`

@@ -24,7 +24,7 @@ func buildGeometry() *bytecode.Program {
 	rnd := pb.Class("Random", "")
 	rnd.Field("seed", value.KindInt)
 	next := rnd.Method("nextInt", true)
-	next.Line().Load("this").Load("this").GetF("Random", "seed").Int(1103515245).Mul().Int(12345).Add().Int(1 << 31).Mod().PutF("Random", "seed")
+	next.Line().Load("this").Load("this").GetF("Random", "seed").Int(1103515245).Mul().Int(12345).Add().Int(1<<31).Mod().PutF("Random", "seed")
 	next.Line().Load("this").GetF("Random", "seed").RetV()
 
 	pt := pb.Class("Point", "")

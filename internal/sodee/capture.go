@@ -101,7 +101,7 @@ func CaptureSegment(a *toolif.Agent, t *vm.Thread, skip, nFrames int, homeNode i
 
 // CaptureDirect captures frames by reading the thread structures directly
 // — the JESSICA2 path ("state information can be retrieved directly from
-// the JVM kernel") and the §IV.D device fallback. No per-call tool costs.
+// the JVM kernel"). No per-call tool costs.
 // allStatics ships every loaded class's statics (thread migration moves
 // the whole thread context).
 func CaptureDirect(v *vm.VM, t *vm.Thread, nFrames int, homeNode int, allStatics bool) (*serial.CapturedState, error) {

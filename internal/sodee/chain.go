@@ -143,7 +143,7 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 	th := job.Thread()
 	n := m.node
 	if n.Agent == nil {
-		return nil, fmt.Errorf("sodee: node %d (%v) cannot capture state", n.ID, n.System)
+		return nil, fmt.Errorf("sodee: node %d has no tool interface to capture state", n.ID)
 	}
 	t0 := time.Now()
 	parked, err := n.Agent.SuspendAtSafePoint(th)
@@ -381,7 +381,6 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 		resultTo:    next,
 		fallback:    nextFB,
 		homeNode:    home,
-		direct:      n.System == SysJessica2 || n.System == SysDevice,
 		seg:         segs[0],
 		expectValue: seg0Expect,
 		classes:     m.bundleClasses(segs[0]),
@@ -431,7 +430,6 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 	}
 
 	mm := MigrationMetrics{
-		System:     n.System,
 		Capture:    captureDone.Sub(t0),
 		Transfer:   arrival.Sub(sendStart),
 		Restore:    restoreDur,
@@ -439,7 +437,6 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 		ClassBytes: classBytes,
 	}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
-	mm.Freeze = mm.Latency
 	m.observeWireLatency(dest0, mm.Transfer)
 	m.observeMigration(&mm, reason, dest0, wireBytes)
 	// Top-segment span quartet, same shape as MigrateSOD's: capture here

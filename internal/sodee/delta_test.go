@@ -58,7 +58,7 @@ func deltaCluster(t *testing.T, ids []int) (*Cluster, *dgate) {
 		preprocess.Options{Mode: preprocess.ModeFaulting, Restore: true})
 	var cfgs []NodeConfig
 	for i, id := range ids {
-		cfgs = append(cfgs, NodeConfig{ID: id, System: SysSODEE, Preloaded: i == 0})
+		cfgs = append(cfgs, NodeConfig{ID: id, Preloaded: i == 0})
 	}
 	c, err := NewCluster(prog, netsim.Gigabit, cfgs...)
 	if err != nil {

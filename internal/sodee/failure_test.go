@@ -101,8 +101,8 @@ func TestRemoteCrashPropagatesHome(t *testing.T) {
 	prog := preprocess.MustPreprocess(buildCrasherProgram(),
 		preprocess.Options{Mode: preprocess.ModeFaulting, Restore: true})
 	c, err := sodee.NewCluster(prog, netsim.Gigabit,
-		sodee.NodeConfig{ID: 1, System: sodee.SysSODEE, Preloaded: true},
-		sodee.NodeConfig{ID: 2, System: sodee.SysSODEE, Preloaded: true},
+		sodee.NodeConfig{ID: 1, Preloaded: true},
+		sodee.NodeConfig{ID: 2, Preloaded: true},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package sodee is the SOD Execution Engine: the distributed runtime of
 // §III that ties the SVM, the tool interface, the class preprocessor, the
 // object manager and the network into migration-capable nodes, with the
-// paper's SOD migration manager on each. A node's System selects its
-// execution profile and codec; the paper's comparison systems run their
-// migrations from internal/experiments, and no runtime node serves them.
+// paper's SOD migration manager on each. Every node runs the same system;
+// NodeConfig describes only its platform (cores, speed, heap, and whether
+// it has a tool interface). The paper's comparison systems are modelled
+// in internal/experiments, and no runtime node serves their migrations.
 package sodee
 
 import (
@@ -22,61 +23,8 @@ import (
 	"repro/internal/vm"
 )
 
-// System identifies which runtime substrate a node models.
-type System int
-
-const (
-	// SysSODEE: the paper's system — JVMTI agent, object faulting,
-	// breakpoint-driven restoration, fast codec. The zero value, so node
-	// configurations default to it.
-	SysSODEE System = iota
-	// SysJDK: plain reference JVM; no agent, no migration support.
-	SysJDK
-	// SysGJavaMPI: eager-copy process migration over the debugger
-	// interface with Java serialization.
-	SysGJavaMPI
-	// SysJessica2: in-VM thread migration; direct capture/restore, slower
-	// engine (old Kaffe JIT), status-check DSM, eager static allocation.
-	SysJessica2
-	// SysXen: OS live migration with iterative pre-copy; virtualization
-	// overhead on execution.
-	SysXen
-	// SysDevice: SODEE on a JamVM-class handset (§IV.D) — no tool
-	// interface (direct restore at "Java level"), Java serialization,
-	// slow CPU.
-	SysDevice
-)
-
-func (s System) String() string {
-	switch s {
-	case SysJDK:
-		return "JDK"
-	case SysSODEE:
-		return "SODEE"
-	case SysGJavaMPI:
-		return "G-JavaMPI"
-	case SysJessica2:
-		return "JESSICA2"
-	case SysXen:
-		return "Xen"
-	case SysDevice:
-		return "Device"
-	}
-	return "unknown"
-}
-
-// Tunables for the execution-profile hooks. Values are chosen so the
-// relative slowdowns land in the paper's observed ranges (JESSICA2 ~4-20×
-// JDK depending on workload; Xen ~1.5-2×; the iPhone's 412 MHz ARM ~15×).
-const (
-	jessicaSpinPerInstr = 14
-	xenSpinPerExit      = 12000
-	xenInstrPerExit     = 4096
-	deviceSpinPerInstr  = 40
-)
-
-// hookSink defeats dead-code elimination; atomic because execution-profile
-// hooks run on every interpreter thread concurrently.
+// hookSink defeats dead-code elimination; atomic because the Slow
+// throttle runs on every interpreter thread concurrently.
 var hookSink atomic.Uint64
 
 func hookSpin(n int) {
@@ -87,51 +35,15 @@ func hookSpin(n int) {
 	hookSink.Store(s)
 }
 
-func profileFor(sys System) vm.Profile {
-	switch sys {
-	case SysSODEE, SysGJavaMPI:
-		return vm.Profile{Name: sys.String(), AgentLoaded: true}
-	case SysJessica2:
-		return vm.Profile{
-			Name:        "jessica2",
-			AgentLoaded: true, // in-VM support; suspension uses the same safepoints
-			InstrHook: func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
-				hookSpin(jessicaSpinPerInstr)
-				return nil
-			},
-		}
-	case SysXen:
-		var ctr int
-		return vm.Profile{
-			Name:        "xen",
-			AgentLoaded: true, // the hypervisor can always pause the guest
-			InstrHook: func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
-				ctr++
-				if ctr >= xenInstrPerExit {
-					ctr = 0
-					hookSpin(xenSpinPerExit)
-				}
-				return nil
-			},
-		}
-	case SysDevice:
-		return vm.Profile{
-			Name:        "device",
-			AgentLoaded: true,
-			InstrHook: func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
-				hookSpin(deviceSpinPerInstr)
-				return nil
-			},
-		}
-	default:
-		return vm.Profile{Name: "jdk"}
-	}
-}
-
 // NodeConfig configures one node of a cluster.
 type NodeConfig struct {
-	ID     int
-	System System
+	ID int
+	// Agentless models a platform with no tool interface (§IV.D: JamVM on
+	// a handset). The node attaches no agent, so it cannot capture state;
+	// it restores migrated-in frames directly, speaks Java serialization
+	// on the wire, and charges its Java-level restore at Slow per unit of
+	// work.
+	Agentless bool
 	// HeapLimit bounds the node's heap (0 = unlimited) — resource-poor
 	// devices and the exception-driven offload scenario use it.
 	HeapLimit int64
@@ -144,10 +56,9 @@ type NodeConfig struct {
 	// stacks up.
 	Cores int
 	// Slow throttles the node's per-instruction speed with a busy-wait of
-	// this many spin iterations (0 = full speed) — a weak-device CPU knob
-	// orthogonal to System, so a slow node can still run the full SODEE
-	// migration stack (unlike SysDevice, which models a JVMTI-less
-	// handset).
+	// this many spin iterations (0 = full speed) — a weak-device CPU knob.
+	// A slow node still runs the full migration stack unless it is also
+	// Agentless.
 	Slow int
 	// Membership tunes the node's failure detector (zero = defaults).
 	Membership membership.Options
@@ -158,7 +69,6 @@ type NodeConfig struct {
 // TCP sockets; everything above speaks the Transport interface only.
 type Node struct {
 	ID     int
-	System System
 	Prog   *bytecode.Program
 	VM     *vm.VM
 	Agent  *toolif.Agent
@@ -188,6 +98,9 @@ type Node struct {
 	// per-core execution speed (1.0 = full speed; throttled nodes less).
 	Cores int
 	Speed float64
+	// slow is the configured throttle; an agentless node also charges its
+	// Java-level restores at it.
+	slow int
 
 	// Cluster back-pointer (set by AddNode) for peer metadata lookups.
 	Cluster *Cluster
@@ -264,7 +177,10 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 		return nil, fmt.Errorf("sodee: node id %d does not match transport id %d", cfg.ID, tr.NodeID())
 	}
 	v := vm.New(c.Prog, cfg.ID, cfg.Preloaded)
-	v.Profile = profileFor(cfg.System)
+	// Suspension works on every node: through the tool agent, or, on an
+	// agentless node, through §IV.D's retrofitted pure-Java migration
+	// manager.
+	v.Profile.AgentLoaded = true
 	if cfg.HeapLimit > 0 {
 		v.Heap.SetLimit(cfg.HeapLimit)
 	}
@@ -273,35 +189,30 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 	}
 	speed := 1.0
 	if cfg.Slow > 0 {
-		// Chain the throttle under any profile hook. The speed hint is a
-		// rough conversion of spin iterations to instruction-cost
-		// multiples; policies use it ordinally, not quantitatively.
-		base := v.Profile.InstrHook
+		// The speed hint is a rough conversion of spin iterations to
+		// instruction-cost multiples; policies use it ordinally, not
+		// quantitatively.
 		slow := cfg.Slow
 		v.Profile.InstrHook = func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
 			hookSpin(slow)
-			if base != nil {
-				return base(t, f, ins)
-			}
 			return nil
 		}
 		speed = 1 / (1 + float64(slow)/6)
 	}
 	ep := tr
 	codec := serial.Fast
-	switch cfg.System {
-	case SysGJavaMPI, SysDevice:
+	if cfg.Agentless {
 		codec = serial.JavaSer
 	}
 	n := &Node{
 		ID:      cfg.ID,
-		System:  cfg.System,
 		Prog:    c.Prog,
 		VM:      v,
 		EP:      ep,
 		Codec:   codec,
 		Cores:   cfg.Cores,
 		Speed:   speed,
+		slow:    cfg.Slow,
 		Cluster: c,
 		Members: membership.New(cfg.ID, cfg.Membership),
 		Obs:     obs.NewRegistry(),
@@ -310,15 +221,9 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 	n.Members.OnChange(func(ev membership.Event) {
 		n.Obs.Counter(obs.Label("sod_member_transitions_total", "state", ev.State.String())).Inc()
 	})
-	if cfg.System != SysJDK && cfg.System != SysDevice {
+	if !cfg.Agentless {
 		n.Agent = toolif.Attach(v)
 		n.restoreEx = v.AllocException(bytecode.ExInvalidState, "")
-	}
-	if cfg.System == SysDevice {
-		// JamVM has no JVMTI; suspension still works (the retrofitted pure-
-		// Java migration manager of §IV.D), but capture/restore bypass the
-		// tool interface.
-		v.Profile.AgentLoaded = true
 	}
 	n.ObjMan = objman.New(v, c.Prog, ep, codec)
 	n.ObjMan.BindNatives(v)

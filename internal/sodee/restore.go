@@ -157,7 +157,7 @@ func RestoreByBreakpoints(n *Node, cs *serial.CapturedState) (*vm.Thread, *resto
 }
 
 // RestoreDirect rebuilds frames by writing thread structures directly —
-// the in-VM path (JESSICA2) and the §IV.D device path, which pays a
+// the path of nodes without a tool interface (§IV.D), which pay a
 // CPU-profile cost instead of tool-interface costs. The thread is ready
 // to run; restoration is complete on return.
 func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
@@ -166,7 +166,7 @@ func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
 	}
 	applyStatics(n.VM, cs)
 
-	if n.System == SysDevice {
+	if n.Agent == nil && n.slow > 0 {
 		// Java-level restoration on a slow handset: reflection-driven frame
 		// rebuilding on a 412 MHz ARM (§IV.D: "carrying out restoration at
 		// Java code level with rather low processing power of the device
@@ -175,7 +175,7 @@ func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
 		for _, f := range cs.Frames {
 			work += 4000 + 2500*len(f.Locals)
 		}
-		hookSpin(work * deviceSpinPerInstr)
+		hookSpin(work * n.slow)
 	}
 
 	bottom := n.Prog.Methods[cs.Frames[0].MethodID]

@@ -17,8 +17,8 @@ func TestBreakpointRestoreHeapBounded(t *testing.T) {
 	prog := preprocess.MustPreprocess(workloads.Cruncher(),
 		preprocess.Options{Mode: preprocess.ModeFaulting, Restore: true})
 	c, err := NewCluster(prog, netsim.Gigabit,
-		NodeConfig{ID: 1, System: SysSODEE, Preloaded: true},
-		NodeConfig{ID: 2, System: SysSODEE})
+		NodeConfig{ID: 1, Preloaded: true},
+		NodeConfig{ID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,12 @@ const (
 // MigrationMetrics records one migration event's cost breakdown — the
 // quantities of Tables III, IV and VII.
 type MigrationMetrics struct {
-	System     System
 	Capture    time.Duration // request received → state ready to transfer
 	Transfer   time.Duration // state ready → arrived at destination
 	Restore    time.Duration // arrival → execution resumed
 	Latency    time.Duration // capture + transfer + restore
 	StateBytes int64
-	HeapBytes  int64 // eager-copy systems only
 	ClassBytes int64
-	Rounds     int // pre-copy rounds (Xen)
-	Freeze     time.Duration
 }
 
 // Job is one top-level computation started on a node — or, when remote is
@@ -632,12 +628,12 @@ func (m *Manager) WireLatencies() map[int]time.Duration {
 	return out
 }
 
-// codecFor picks the wire codec for talking to a destination: device
-// nodes have no tool interface and fall back to Java serialization
-// (§IV.D), so any sender must encode accordingly.
+// codecFor picks the wire codec for talking to a destination: a node
+// without a tool interface speaks only Java serialization (§IV.D), so a
+// sender uses it whenever either end does.
 func (m *Manager) codecFor(dest int) serial.Codec {
 	if m.node.Cluster != nil {
-		if dn, ok := m.node.Cluster.Nodes[dest]; ok && dn.System == SysDevice {
+		if dn, ok := m.node.Cluster.Nodes[dest]; ok && dn.Codec == serial.JavaSer {
 			return serial.JavaSer
 		}
 	}
@@ -1244,7 +1240,7 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	th := job.Thread()
 	n := m.node
 	if n.Agent == nil {
-		return nil, fmt.Errorf("sodee: node %d (%v) cannot capture state", n.ID, n.System)
+		return nil, fmt.Errorf("sodee: node %d has no tool interface to capture state", n.ID)
 	}
 	t0 := time.Now()
 	parked, err := n.Agent.SuspendAtSafePoint(th)
@@ -1397,7 +1393,6 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 		resultTo:    resultTo,
 		fallback:    fallback,
 		homeNode:    home,
-		direct:      n.System == SysJessica2 || n.System == SysDevice,
 		seg:         seg,
 		residual:    residual, // non-nil only for FlowTotal
 		expectValue: segBottom.ReturnsValue,
@@ -1455,7 +1450,6 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	}
 
 	mm := MigrationMetrics{
-		System:     n.System,
 		Capture:    captureDone.Sub(t0),
 		Transfer:   arrival.Sub(sendStart),
 		Restore:    restoreDur,
@@ -1463,7 +1457,6 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 		ClassBytes: classBytes,
 	}
 	mm.Latency = mm.Capture + mm.Transfer + mm.Restore
-	mm.Freeze = mm.Latency
 	m.observeWireLatency(opts.Dest, mm.Transfer)
 	m.observeMigration(&mm, opts.Reason, opts.Dest, wireBytes)
 	// The hop's span quartet goes to the origin's trace: the migrate span
@@ -1715,7 +1708,7 @@ func (m *Manager) handleMigrate(from int, payload []byte) ([]byte, error) {
 	// hop budget.
 	restoreStart := time.Now()
 	var restoreDur time.Duration
-	if msg.direct || n.Agent == nil {
+	if n.Agent == nil {
 		th, rerr := RestoreDirect(n, msg.seg)
 		if rerr != nil {
 			return nil, rerr
@@ -1838,7 +1831,6 @@ func (m *Manager) handleClassRequest(from int, payload []byte) ([]byte, error) {
 
 type migrateMsg struct {
 	plant       bool
-	direct      bool
 	codec       serial.Codec
 	resultTo    completion
 	fallback    completion // where the result goes if resultTo is unreachable
@@ -1881,7 +1873,6 @@ func (mm *migrateMsg) encode(prog *bytecode.Program, codec serial.Codec, sess *d
 	w := wire.NewWriter(512)
 	w.Byte(byte(codec))
 	w.Bool(mm.plant)
-	w.Bool(mm.direct)
 	w.Varint(int64(mm.resultTo.node))
 	w.Uvarint(mm.resultTo.token)
 	w.Varint(int64(mm.fallback.node))
@@ -1933,7 +1924,6 @@ func (m *Manager) decodeMigrateMsg(from int, payload []byte) (*migrateMsg, error
 	mm.codec = serial.Codec(r.Byte())
 	codec := mm.codec
 	mm.plant = r.Bool()
-	mm.direct = r.Bool()
 	mm.resultTo.node = int(r.Varint())
 	mm.resultTo.token = r.Uvarint()
 	mm.fallback.node = int(r.Varint())

@@ -95,7 +95,7 @@ func sodCluster(t *testing.T, nodeIDs []int, preloadWorkers bool) (*sodee.Cluste
 	var cfgs []sodee.NodeConfig
 	for i, id := range nodeIDs {
 		cfgs = append(cfgs, sodee.NodeConfig{
-			ID: id, System: sodee.SysSODEE, Preloaded: i == 0 || preloadWorkers,
+			ID: id, Preloaded: i == 0 || preloadWorkers,
 		})
 	}
 	c, err := sodee.NewCluster(prog, netsim.Gigabit, cfgs...)

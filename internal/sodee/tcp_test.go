@@ -1,6 +1,7 @@
 package sodee_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -295,7 +296,17 @@ func TestStealGrantRequesterDiesMidTransferTCP(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for victim.Mgr.StealStats().Granted == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("victim never granted the steal")
+			// Say which step refused the steal: a returned RequestSteal
+			// carries the denial or the failed call; a pending one means
+			// the grant probe or the capture never finished.
+			call := "RequestSteal still pending"
+			select {
+			case err := <-stealErr:
+				call = fmt.Sprintf("RequestSteal returned %v", err)
+			default:
+			}
+			t.Fatalf("victim never granted the steal: %s; victim stats %+v; thief stats %+v",
+				call, victim.Mgr.StealStats(), thief.Mgr.StealStats())
 		}
 		time.Sleep(time.Millisecond)
 	}

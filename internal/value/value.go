@@ -67,9 +67,9 @@ const NullRef Ref = 0
 
 const (
 	stubBit   Ref = 1 << 63
-	nodeShift      = 48
-	nodeMask  Ref  = (1<<15 - 1) << nodeShift
-	seqMask   Ref  = 1<<nodeShift - 1
+	nodeShift     = 48
+	nodeMask  Ref = (1<<15 - 1) << nodeShift
+	seqMask   Ref = 1<<nodeShift - 1
 )
 
 // MaxNodeID is the largest node id a Ref can carry.

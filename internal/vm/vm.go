@@ -38,17 +38,15 @@ type InstrHook func(t *Thread, f *Frame, ins bytecode.Instr) *Raised
 // the restriction §III.B.1 of the paper imposes.
 type NativeImpl func(t *Thread, args []value.Value) (value.Value, *Raised)
 
-// Profile configures the execution engine, modelling the different runtime
-// substrates of the paper's comparison systems.
+// Profile configures the execution engine: a hook run before every
+// instruction, and whether a tool agent is attached.
 type Profile struct {
-	// Name for diagnostics ("jdk", "sodee", "jessica2", "xen", "device").
-	Name string
-	// InstrHook, when non-nil, runs before every instruction. The JESSICA2
-	// profile uses it to model a slower engine; the Xen profile to model
-	// periodic hypervisor exits; the toolif layer to implement breakpoints
-	// and single-stepping during restoration. A non-nil Raised return is
-	// thrown at the current pc (how the restoration protocol injects
-	// InvalidStateException at breakpoints, Fig 4b).
+	// InstrHook, when non-nil, runs before every instruction. Throttles
+	// and execution-cost models use it to slow the engine down; the toolif
+	// layer uses it to implement breakpoints and single-stepping during
+	// restoration. A non-nil Raised return is thrown at the current pc
+	// (how the restoration protocol injects InvalidStateException at
+	// breakpoints, Fig 4b). Threads copy it when they start.
 	InstrHook InstrHook
 	// AgentLoaded models a JVMTI agent being attached at startup (C1):
 	// threads then maintain safepoint bookkeeping for suspension requests.

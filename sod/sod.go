@@ -88,17 +88,6 @@ func RefVal(r Ref) Value { return value.RefVal(r) }
 // Null is the null reference value.
 func Null() Value { return value.Null() }
 
-// System selects the runtime substrate a node models. The zero value is
-// SODEE, the paper's system; Device models the §IV.D handset, which has
-// no tool interface.
-type System = sodee.System
-
-// Node system kinds.
-const (
-	SODEE  = sodee.SysSODEE
-	Device = sodee.SysDevice
-)
-
 // Link profiles.
 var (
 	// Gigabit models the paper's cluster interconnect.
@@ -159,8 +148,6 @@ func CompileReport(p *Program, opts CompileOptions) (*Program, *preprocess.Repor
 // Node configures one cluster node.
 type Node struct {
 	ID int
-	// System defaults to SODEE.
-	System System
 	// HeapLimit bounds the node's heap in bytes (0 = unlimited).
 	HeapLimit int64
 	// Cold starts the node without application classes; they ship on
@@ -192,7 +179,6 @@ func NewCluster(prog *Program, link netsim.LinkSpec, nodes ...Node) (*Cluster, e
 	for _, n := range nodes {
 		cfgs = append(cfgs, sodee.NodeConfig{
 			ID:        n.ID,
-			System:    n.System,
 			HeapLimit: n.HeapLimit,
 			Preloaded: !n.Cold,
 			Cores:     n.Cores,
