@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -37,7 +36,7 @@ func serveBaselines(c *sodee.Cluster, sys System, imageBytes int64) map[int]*xen
 			})
 		case SysJessica2:
 			n.VM.Profile.InstrHook = func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
-				spin(jessicaSpinPerInstr)
+				vm.Spin(jessicaSpinPerInstr)
 				return nil
 			}
 			n.EP.Handle(netsim.KindThreadMigrate, func(from int, payload []byte) ([]byte, error) {
@@ -49,7 +48,7 @@ func serveBaselines(c *sodee.Cluster, sys System, imageBytes int64) map[int]*xen
 				ctr++
 				if ctr >= xenInstrPerExit {
 					ctr = 0
-					spin(xenSpinPerExit)
+					vm.Spin(xenSpinPerExit)
 				}
 				return nil
 			}
@@ -70,19 +69,6 @@ const (
 	xenSpinPerExit      = 12000
 	xenInstrPerExit     = 4096
 )
-
-// spinSink defeats dead-code elimination; atomic because profile hooks
-// run on every interpreter thread concurrently.
-var spinSink atomic.Uint64
-
-// spin burns n iterations of CPU.
-func spin(n int) {
-	s := spinSink.Load()
-	for i := 0; i < n; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-	}
-	spinSink.Store(s)
-}
 
 // encodeReply and decodeReply carry a destination's arrival time and
 // restore duration back to the migrating node.

@@ -9,7 +9,6 @@ package sodee
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -22,18 +21,6 @@ import (
 	"repro/internal/value"
 	"repro/internal/vm"
 )
-
-// hookSink defeats dead-code elimination; atomic because the Slow
-// throttle runs on every interpreter thread concurrently.
-var hookSink atomic.Uint64
-
-func hookSpin(n int) {
-	s := hookSink.Load()
-	for i := 0; i < n; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-	}
-	hookSink.Store(s)
-}
 
 // NodeConfig configures one node of a cluster.
 type NodeConfig struct {
@@ -194,7 +181,7 @@ func (c *Cluster) AddNodeOn(cfg NodeConfig, tr netsim.Transport) (*Node, error) 
 		// quantitatively.
 		slow := cfg.Slow
 		v.Profile.InstrHook = func(t *vm.Thread, f *vm.Frame, ins bytecode.Instr) *vm.Raised {
-			hookSpin(slow)
+			vm.Spin(slow)
 			return nil
 		}
 		speed = 1 / (1 + float64(slow)/6)

@@ -156,10 +156,11 @@ func RestoreByBreakpoints(n *Node, cs *serial.CapturedState) (*vm.Thread, *resto
 	return th, rc, nil
 }
 
-// RestoreDirect rebuilds frames by writing thread structures directly —
-// the path of nodes without a tool interface (§IV.D), which pay a
-// CPU-profile cost instead of tool-interface costs. The thread is ready
-// to run; restoration is complete on return.
+// RestoreDirect rebuilds frames by writing thread structures directly:
+// how a node without a tool interface (§IV.D) restores every stack, and
+// how any node rebuilds a parked residual. The agentless node pays a
+// CPU cost at its Slow throttle instead of tool-interface costs. The
+// thread is ready to run; restoration is complete on return.
 func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
 	if len(cs.Frames) == 0 {
 		return nil, fmt.Errorf("sodee: empty captured state")
@@ -175,7 +176,7 @@ func RestoreDirect(n *Node, cs *serial.CapturedState) (*vm.Thread, error) {
 		for _, f := range cs.Frames {
 			work += 4000 + 2500*len(f.Locals)
 		}
-		hookSpin(work * n.slow)
+		vm.Spin(work * n.slow)
 	}
 
 	bottom := n.Prog.Methods[cs.Frames[0].MethodID]

@@ -32,6 +32,20 @@ type Raised struct {
 // InstrHook observes (and may redirect) execution before each instruction.
 type InstrHook func(t *Thread, f *Frame, ins bytecode.Instr) *Raised
 
+// spinSink defeats dead-code elimination in Spin; atomic because
+// instruction hooks run on every interpreter thread concurrently.
+var spinSink atomic.Uint64
+
+// Spin burns n iterations of CPU: the cost an InstrHook charges to model
+// a slower engine or device.
+func Spin(n int) {
+	s := spinSink.Load()
+	for i := 0; i < n; i++ {
+		s = s*6364136223846793005 + 1442695040888963407
+	}
+	spinSink.Store(s)
+}
+
 // NativeImpl is the Go implementation of a declared native function.
 // Natives execute inline in the calling frame (no SVM frame is pushed), so
 // a thread suspended at a migration-safe point is never "inside" a native —

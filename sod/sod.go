@@ -145,7 +145,9 @@ func CompileReport(p *Program, opts CompileOptions) (*Program, *preprocess.Repor
 	return preprocess.Preprocess(p, preprocess.Options{Mode: mode, Restore: !opts.NoRestoreHandlers})
 }
 
-// Node configures one cluster node.
+// Node configures one cluster node. Every node runs the full SOD stack;
+// a weak device, such as the photo-sharing handset, is a node with a
+// high Slow.
 type Node struct {
 	ID int
 	// HeapLimit bounds the node's heap in bytes (0 = unlimited).
