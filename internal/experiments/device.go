@@ -92,8 +92,9 @@ func table7(bandwidthKbps int64) (*Table7Row, *sodee.Cluster, error) {
 		})
 		done <- merr
 	}()
-	time.Sleep(time.Millisecond)
-	gate.release <- struct{}{}
+	if err := gate.releaseParked(job.Thread()); err != nil {
+		return nil, nil, err
+	}
 	if merr := <-done; merr != nil {
 		return nil, nil, merr
 	}

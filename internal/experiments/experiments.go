@@ -122,6 +122,21 @@ func (g *checkpointGate) disarm() {
 	g.mu.Unlock()
 }
 
+// releaseParked lets th leave the checkpoint toward a migration the
+// driver has just started. The migration's own suspend request gets a
+// millisecond to land first, so the capture it times includes bringing
+// the running thread to a safe point. A request of the driver's own then
+// makes sure th parks at its next safe point even when the migration's
+// has not landed yet, instead of running past the capture point.
+func (g *checkpointGate) releaseParked(th *vm.Thread) error {
+	time.Sleep(time.Millisecond)
+	if _, err := th.RequestSuspend(); err != nil {
+		return err
+	}
+	g.release <- struct{}{}
+	return nil
+}
+
 // KernelRun is the outcome of one measured kernel execution.
 type KernelRun struct {
 	System   System
@@ -201,12 +216,11 @@ func RunKernel(sys System, w *workloads.Workload, n int64, migrate bool) (*Kerne
 			mm, merr = mig(home, guests[home.ID], job, w)
 			done <- merr
 		}()
-		if sys != SysXen {
-			// Give the suspend request a moment to land before the thread
-			// leaves the checkpoint (Xen migrates live; no ordering needed).
-			time.Sleep(time.Millisecond)
+		if sys == SysXen {
+			gate.release <- struct{}{} // Xen migrates live
+		} else if err := gate.releaseParked(job.Thread()); err != nil {
+			return nil, err
 		}
-		gate.release <- struct{}{}
 		if merr := <-done; merr != nil {
 			return nil, merr
 		}

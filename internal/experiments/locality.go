@@ -122,10 +122,11 @@ func runSearchMigrated(sys System, cluster *sodee.Cluster, guests map[int]*xenGu
 		}
 		done <- merr
 	}()
-	if sys != SysXen {
-		time.Sleep(time.Millisecond)
+	if sys == SysXen {
+		gate.release <- struct{}{} // Xen migrates live
+	} else if err := gate.releaseParked(job.Thread()); err != nil {
+		return 0, err
 	}
-	gate.release <- struct{}{}
 	if merr := <-done; merr != nil {
 		return 0, merr
 	}
@@ -263,8 +264,9 @@ func Roaming() (*RoamResult, error) {
 			})
 			done <- merr
 		}()
-		time.Sleep(time.Millisecond)
-		gate.release <- struct{}{}
+		if err := gate.releaseParked(job.Thread()); err != nil {
+			return nil, err
+		}
 		if merr := <-done; merr != nil {
 			return nil, fmt.Errorf("roam hop %d: %w", i, merr)
 		}
