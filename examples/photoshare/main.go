@@ -1,14 +1,14 @@
 // Photoshare: the §IV.D iPhone scenario, placed by policy instead of by
 // hand. A web server serves a photo-search request whose bottom frame is
 // pinned (it holds the client socket); the photos live on a handset (a
-// cold node with a slow CPU) behind a bandwidth-capped link. The request is submitted as a
-// *chained* job: the chain planner sees a stack whose top frame is
-// movable and whose tail is pinned, ships the search frame to the
-// handset, and keeps serveRequest parked at the server as the chain's
-// local tail — when the search pops on the phone, its hit count is
-// forwarded straight back into the parked frame and the HTTP reply goes
-// out from the server. The computation visits the data; the socket never
-// moves; nobody names a destination.
+// cold node with a slow CPU) behind a bandwidth-capped link. The request
+// is submitted as a *chained* job: the chain planner sees a stack whose
+// top frame is movable and whose tail is pinned, ships the search frame
+// to the handset, and keeps serveRequest parked at the server as the
+// chain's local tail — when the search pops on the phone, its hit count
+// is forwarded straight back into the parked frame and the HTTP reply
+// goes out from the server. The computation visits the data; the socket
+// never moves; nobody names a destination.
 package main
 
 import (

@@ -70,7 +70,7 @@ type MigrationMetrics struct {
 	sodee.MigrationMetrics
 	HeapBytes int64         // eager-copy systems only
 	Rounds    int           // pre-copy rounds (Xen)
-	Freeze    time.Duration // guest stopped (Xen; the others freeze for the whole Latency)
+	Freeze    time.Duration // guest stopped, Xen only: the others are frozen for their whole Latency
 }
 
 // progFor preprocesses a workload for a system, mirroring what each
