@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -69,7 +70,7 @@ func parseArgs(s string) []int64 {
 }
 
 func printMembers(c *daemon.Client) {
-	self, members, err := c.Members()
+	self, members, err := c.Members(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func printMembers(c *daemon.Client) {
 }
 
 func printStats(c *daemon.Client) {
-	st, ss, err := c.Stats()
+	st, ss, err := c.Stats(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func printStats(c *daemon.Client) {
 }
 
 func printLoad(c *daemon.Client) {
-	info, err := c.Load()
+	info, err := c.Load(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func printLoad(c *daemon.Client) {
 // watchJob streams one job's lifecycle events until its stream ends
 // (completion, or losing the daemon).
 func watchJob(c *daemon.Client, job uint64) {
-	ch, cancel, err := c.Watch(job)
+	ch, cancel, err := c.Watch(context.Background(), job)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func (r *topRow) count(ev sodee.JobEvent) {
 // topCluster renders cluster-wide activity from a single WatchAll
 // stream: per-origin event rates over each interval, no polling.
 func topCluster(c *daemon.Client, every, dur time.Duration) {
-	ch, cancel, err := c.WatchAll()
+	ch, cancel, err := c.WatchAll(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -277,18 +278,18 @@ func main() {
 		if *chain {
 			submit = c.SubmitChain
 		}
-		id, err := submit(*method, parseArgs(*args)...)
+		j, err := submit(context.Background(), *method, parseArgs(*args)...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("job %d submitted\n", id)
+		fmt.Printf("job %d submitted\n", j.ID())
 
 	case "wait":
 		fs := flag.NewFlagSet("wait", flag.ExitOnError)
 		job := fs.Uint64("job", 0, "job id")
 		timeout := fs.Duration("timeout", time.Minute, "wait deadline")
 		fs.Parse(rest) //nolint:errcheck
-		res, done, errMsg, err := c.Wait(*job, *timeout)
+		res, done, errMsg, err := c.Wait(context.Background(), *job, *timeout)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -307,7 +308,9 @@ func main() {
 		args := fs.String("args", "", "comma-separated integer arguments")
 		timeout := fs.Duration("timeout", time.Minute, "wait deadline")
 		fs.Parse(rest) //nolint:errcheck
-		res, err := c.Run(*method, *timeout, parseArgs(*args)...)
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		res, err := c.Run(ctx, *method, parseArgs(*args)...)
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -342,7 +345,7 @@ func main() {
 		topCluster(c, *every, *dur)
 
 	case "metrics":
-		snap, err := c.Metrics()
+		snap, err := c.Metrics(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -355,7 +358,7 @@ func main() {
 		if *job == 0 {
 			log.Fatal("trace: -job is required")
 		}
-		spans, err := c.Trace(*job)
+		spans, err := c.Trace(context.Background(), *job)
 		if err != nil {
 			log.Fatal(err)
 		}

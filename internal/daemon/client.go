@@ -20,23 +20,44 @@ import (
 // the integration tests use to drive a cluster from outside. Clients use
 // negative node ids so they can never collide with (or be mistaken for)
 // cluster members; a daemon answers their RPCs but never gossips to
-// them.
+// them. Every request takes a context: the call waits on the reply and
+// on ctx together, with no goroutine of its own.
 type Client struct {
 	tr   *netsim.TCPTransport
 	peer int
 
-	// watches routes streamed opEvent frames to Watch subscribers by
-	// generation — a client-chosen per-stream nonce, so several watches
+	// watches routes streamed opEvent frames to their streams by
+	// generation — a client-chosen per-stream nonce, so several streams
 	// of one job coexist and frames from a cancelled stream can never be
 	// mistaken for a successor's.
 	mu       sync.Mutex
 	watchGen uint64
 	watches  map[uint64]*clientWatch
+	// held maps a job submitted through this client to the event stream
+	// its Submit opened, until the first Watch of the job takes it, a
+	// Wait on the job returns, or more than maxHeld streams are held and
+	// it is the oldest.
+	held map[uint64]*clientWatch
 }
 
+// maxHeld bounds the streams a client holds for jobs nobody has watched
+// or waited on yet. It is below sodee.RetainedJobs, so a client that
+// submits alone cannot go on answering Watch from held streams for jobs
+// its daemon has already forgotten.
+const maxHeld = 1024
+
+// watchBuffer is how many undelivered events one stream queues before it
+// drops non-terminal ones: the size of the daemon's per-job ring, twice
+// the history a job keeps, so a replay never overflows it.
+const watchBuffer = 128
+
 type clientWatch struct {
-	gen    uint64
+	gen uint64
+	// ch delivers events to the consumer. It is nil while a Submit's
+	// stream is held with no consumer yet; events queue in buf until a
+	// Watch takes the stream.
 	ch     chan sodee.JobEvent
+	buf    []sodee.JobEvent
 	closed bool
 	// all marks a WatchAll stream: terminal events pass through without
 	// ending it (the stream spans every job in the cluster).
@@ -46,6 +67,79 @@ type clientWatch struct {
 	// until their predecessors land so events deliver in stream order.
 	next    uint64
 	pending map[uint64]sodee.JobEvent
+	// ended (Submit streams only) closes when the stream ends, for any
+	// reason; term is its terminal event if one arrived. Both are set
+	// under Client.mu before ended closes.
+	ended chan struct{}
+	term  *sodee.JobEvent
+	// stopCtx unhooks a Watch stream from the context that ends it.
+	stopCtx func() bool
+}
+
+// push queues one in-order event for the consumer without blocking.
+// A full queue drops the event — unless it is the terminal, which
+// carries the job's outcome and evicts the oldest queued event instead.
+func (w *clientWatch) push(ev sodee.JobEvent) {
+	if w.ch == nil {
+		switch {
+		case len(w.buf) < watchBuffer:
+			w.buf = append(w.buf, ev)
+		case ev.Terminal():
+			copy(w.buf, w.buf[1:])
+			w.buf[len(w.buf)-1] = ev
+		}
+		return
+	}
+	select {
+	case w.ch <- ev:
+	default:
+		if ev.Terminal() {
+			select {
+			case <-w.ch:
+			default:
+			}
+			select {
+			case w.ch <- ev:
+			default:
+			}
+		}
+	}
+}
+
+// finish ends the stream: the consumer channel (if attached) and ended
+// close. Idempotent; the caller holds Client.mu.
+func (w *clientWatch) finish() {
+	if w.closed {
+		return
+	}
+	w.closed = true
+	if w.ch != nil {
+		close(w.ch)
+	}
+	if w.ended != nil {
+		close(w.ended)
+	}
+	if w.stopCtx != nil {
+		w.stopCtx()
+	}
+}
+
+// attach gives a held stream its consumer channel, delivering what
+// queued while it was held. A stream that already ended needs room for
+// exactly that. The caller holds Client.mu.
+func (w *clientWatch) attach() {
+	size := watchBuffer
+	if w.closed {
+		size = len(w.buf)
+	}
+	w.ch = make(chan sodee.JobEvent, size)
+	for _, ev := range w.buf {
+		w.ch <- ev
+	}
+	w.buf = nil
+	if w.closed {
+		close(w.ch)
+	}
 }
 
 // ctlSeq disambiguates several clients inside one process.
@@ -66,10 +160,14 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if timeout > 0 {
 		tr.SetDialWindow(0, timeout)
 	}
-	c := &Client{tr: tr, watches: make(map[uint64]*clientWatch)}
+	c := &Client{
+		tr:      tr,
+		watches: make(map[uint64]*clientWatch),
+		held:    make(map[uint64]*clientWatch),
+	}
 	// Register the stream plumbing before the daemon can possibly send a
-	// frame: events for a watch may start arriving the moment the watch
-	// RPC is acked.
+	// frame: events for a stream may arrive before the reply that opened
+	// it.
 	tr.Handle(netsim.KindControl, c.handleControl)
 	tr.SetPeerDownHook(func(int) { c.endAllWatches() })
 	peer, err := tr.Connect(addr)
@@ -94,8 +192,8 @@ func (c *Client) Close() {
 // Peer returns the daemon's node id.
 func (c *Client) Peer() int { return c.peer }
 
-func (c *Client) call(payload []byte) ([]byte, error) {
-	return c.tr.Call(c.peer, netsim.KindControl, payload)
+func (c *Client) call(ctx context.Context, payload []byte) ([]byte, error) {
+	return c.tr.CallContext(ctx, c.peer, netsim.KindControl, payload)
 }
 
 // MemberInfo is one row of a daemon's membership view.
@@ -108,10 +206,10 @@ type MemberInfo struct {
 
 // Members queries the daemon's membership view; self is the daemon's
 // own id.
-func (c *Client) Members() (self int, members []MemberInfo, err error) {
+func (c *Client) Members(ctx context.Context) (self int, members []MemberInfo, err error) {
 	w := wire.NewWriter(1)
 	w.Byte(opMembers)
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -129,19 +227,45 @@ func (c *Client) Members() (self int, members []MemberInfo, err error) {
 	return self, members, r.Err()
 }
 
-// Submit starts a job on the daemon and returns its id.
-func (c *Client) Submit(method string, args ...int64) (uint64, error) {
-	return c.submit(opSubmit, method, args...)
+// Job is a job submitted through this client, or looked up by id. A
+// submitted Job keeps the event stream its Submit opened, so Wait and
+// Done answer from the stream's terminal event with no request of their
+// own; a looked-up Job, or one whose stream ended without a terminal,
+// asks the daemon with opWait.
+type Job struct {
+	c  *Client
+	id uint64
+	s  *clientWatch // nil: no stream, always opWait
+}
+
+// ID returns the job's id at the daemon.
+func (j *Job) ID() uint64 { return j.id }
+
+// Job returns a handle for a job id without checking that the daemon
+// knows it; its Wait and Done use opWait.
+func (c *Client) Job(id uint64) *Job { return &Job{c: c, id: id} }
+
+// Submit starts a job on the daemon. The daemon opens the job's event
+// stream in the same request; the client holds it for the job's first
+// Watch and for Wait.
+func (c *Client) Submit(ctx context.Context, method string, args ...int64) (*Job, error) {
+	return c.submit(ctx, opSubmit, method, args...)
 }
 
 // SubmitChain starts a chain-owned job: the daemon's chain planner
 // places its stack as a multi-segment forward pipeline (the daemon must
-// run with -chain).
-func (c *Client) SubmitChain(method string, args ...int64) (uint64, error) {
-	return c.submit(opSubmitChain, method, args...)
+// run with -chain). It streams like Submit.
+func (c *Client) SubmitChain(ctx context.Context, method string, args ...int64) (*Job, error) {
+	return c.submit(ctx, opSubmitChain, method, args...)
 }
 
-func (c *Client) submit(op byte, method string, args ...int64) (uint64, error) {
+func (c *Client) submit(ctx context.Context, op byte, method string, args ...int64) (*Job, error) {
+	c.mu.Lock()
+	// Registered before the request goes out: the stream's events can
+	// arrive before the reply does.
+	s := c.newWatchLocked(false)
+	s.ended = make(chan struct{})
+	c.mu.Unlock()
 	w := wire.NewWriter(64)
 	w.Byte(op)
 	w.Blob([]byte(method))
@@ -149,23 +273,118 @@ func (c *Client) submit(op byte, method string, args ...int64) (uint64, error) {
 	for _, a := range args {
 		w.Varint(a)
 	}
-	reply, err := c.call(w.Bytes())
-	if err != nil {
-		return 0, err
+	w.Uvarint(s.gen)
+	reply, err := c.call(ctx, w.Bytes())
+	if err == nil {
+		r := wire.NewReader(reply)
+		id := r.Uvarint()
+		if err = r.Err(); err == nil {
+			c.mu.Lock()
+			c.held[id] = s
+			evicted := c.evictHeldLocked()
+			c.mu.Unlock()
+			for _, gen := range evicted {
+				c.unwatch(gen)
+			}
+			return &Job{c: c, id: id, s: s}, nil
+		}
 	}
-	r := wire.NewReader(reply)
-	id := r.Uvarint()
-	return id, r.Err()
+	if c.endWatch(s.gen) && ctx.Err() != nil {
+		// Abandoned mid-call: the daemon may have opened the stream.
+		c.unwatch(s.gen)
+	}
+	return nil, err
 }
 
-// Wait blocks (up to timeout) for a submitted job's result. done is
-// false on timeout; a non-empty errMsg is the job's failure.
-func (c *Client) Wait(job uint64, timeout time.Duration) (result int64, done bool, errMsg string, err error) {
+// evictHeldLocked drops the oldest held streams (lowest generation) past
+// maxHeld and returns the generations of those still live, which the
+// caller unwatches once c.mu is released. Their jobs' Waits fall back to
+// opWait.
+func (c *Client) evictHeldLocked() []uint64 {
+	var live []uint64
+	for len(c.held) > maxHeld {
+		var oldest uint64
+		var ow *clientWatch
+		for id, w := range c.held {
+			if ow == nil || w.gen < ow.gen {
+				oldest, ow = id, w
+			}
+		}
+		if c.dropHeldLocked(oldest, ow) {
+			live = append(live, ow.gen)
+		}
+	}
+	return live
+}
+
+// release drops j's stream from the held set once its Wait returns.
+func (c *Client) release(j *Job) {
+	c.mu.Lock()
+	live := c.held[j.id] == j.s && c.dropHeldLocked(j.id, j.s)
+	c.mu.Unlock()
+	if live {
+		c.unwatch(j.s.gen)
+	}
+}
+
+// dropHeldLocked forgets job id's held stream w and ends it if it is
+// still live: nobody consumes it. It reports whether the daemon must be
+// told too, which the caller does once c.mu is released.
+func (c *Client) dropHeldLocked(id uint64, w *clientWatch) bool {
+	delete(c.held, id)
+	w.buf = nil
+	if w.closed {
+		return false
+	}
+	delete(c.watches, w.gen)
+	w.finish()
+	return true
+}
+
+// Wait blocks until the job completes or ctx ends. A non-empty errMsg is
+// the job's failure; err covers the transport and the context.
+func (j *Job) Wait(ctx context.Context) (result int64, errMsg string, err error) {
+	if j.s == nil {
+		return j.c.WaitContext(ctx, j.id)
+	}
+	defer j.c.release(j)
+	select {
+	case <-j.s.ended:
+	case <-ctx.Done():
+		return 0, "", ctx.Err()
+	}
+	if t := j.s.term; t != nil {
+		return t.Result, t.Err, nil
+	}
+	return j.c.WaitContext(ctx, j.id)
+}
+
+// Done reports whether the job has completed. While the job's stream is
+// live it answers locally: the terminal event has not arrived.
+func (j *Job) Done(ctx context.Context) (bool, error) {
+	if j.s != nil {
+		select {
+		case <-j.s.ended:
+			if j.s.term != nil {
+				return true, nil
+			}
+		default:
+			return false, nil
+		}
+	}
+	_, done, _, err := j.c.Wait(ctx, j.id, 0)
+	return done, err
+}
+
+// Wait asks the daemon (opWait) for a job's result, blocking there up to
+// timeout. done is false on timeout; a non-empty errMsg is the job's
+// failure.
+func (c *Client) Wait(ctx context.Context, job uint64, timeout time.Duration) (result int64, done bool, errMsg string, err error) {
 	w := wire.NewWriter(24)
 	w.Byte(opWait)
 	w.Uvarint(job)
 	w.Uvarint(uint64(timeout / time.Millisecond))
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return 0, false, "", err
 	}
@@ -176,13 +395,14 @@ func (c *Client) Wait(job uint64, timeout time.Duration) (result int64, done boo
 	return result, done, errMsg, r.Err()
 }
 
-// waitChunk bounds one long-poll round trip of WaitContext, so a context
-// canceled mid-wait is noticed within this lag.
+// waitChunk bounds one long-poll round trip of WaitContext. The caller
+// stops waiting the moment ctx ends; the chunk bounds how long the
+// daemon's handler goes on waiting for a caller that has left.
 const waitChunk = 500 * time.Millisecond
 
-// WaitContext blocks until the job completes or ctx ends. It long-polls
-// the daemon in bounded chunks; a non-empty errMsg is the job's failure,
-// err covers the transport and the context.
+// WaitContext blocks until the job completes or ctx ends, long-polling
+// the daemon with opWait in bounded chunks; a non-empty errMsg is the
+// job's failure, err covers the transport and the context.
 func (c *Client) WaitContext(ctx context.Context, job uint64) (result int64, errMsg string, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -197,7 +417,7 @@ func (c *Client) WaitContext(ctx context.Context, job uint64) (result int64, err
 				return 0, "", context.DeadlineExceeded
 			}
 		}
-		res, done, errMsg, err := c.Wait(job, chunk)
+		res, done, errMsg, err := c.Wait(ctx, job, chunk)
 		if err != nil {
 			return 0, "", err
 		}
@@ -209,81 +429,106 @@ func (c *Client) WaitContext(ctx context.Context, job uint64) (result int64, err
 
 // --- job event streaming ---
 
+// newWatchLocked registers a stream under a fresh generation; the
+// caller holds c.mu.
+func (c *Client) newWatchLocked(all bool) *clientWatch {
+	c.watchGen++
+	w := &clientWatch{gen: c.watchGen, all: all}
+	c.watches[w.gen] = w
+	return w
+}
+
 // Watch subscribes to a job's lifecycle events. The daemon replays the
 // job's retained history first, then streams live events; the channel is
-// closed after the job's terminal event, when cancel is called, or when
-// the connection to the daemon dies. A job may be watched any number of
-// times concurrently; every subscription gets the full stream.
-func (c *Client) Watch(job uint64) (<-chan sodee.JobEvent, func(), error) {
+// closed after the job's terminal event, when cancel is called or ctx
+// ends, or when the connection to the daemon dies. A job may be watched
+// any number of times concurrently; every subscription gets the full
+// stream. The first Watch of a job submitted through this client takes
+// the stream its Submit opened, with no request; any other Watch sends
+// opWatch.
+func (c *Client) Watch(ctx context.Context, job uint64) (<-chan sodee.JobEvent, func(), error) {
 	c.mu.Lock()
-	c.watchGen++
-	w := &clientWatch{
-		gen:     c.watchGen,
-		ch:      make(chan sodee.JobEvent, 128),
-		pending: make(map[uint64]sodee.JobEvent),
+	// A held stream that ended without its terminal cannot replay the
+	// job's story; opWatch can.
+	if w := c.held[job]; w != nil && (w.term != nil || !w.closed) {
+		delete(c.held, job)
+		w.attach()
+		c.bindLocked(ctx, w)
+		c.mu.Unlock()
+		return w.ch, c.cancelFunc(w.gen), nil
 	}
-	c.watches[w.gen] = w
+	w := c.newWatchLocked(false)
+	w.ch = make(chan sodee.JobEvent, watchBuffer)
 	c.mu.Unlock()
-
 	req := wire.NewWriter(20)
 	req.Byte(opWatch)
 	req.Uvarint(job)
 	req.Uvarint(w.gen)
-	if _, err := c.call(req.Bytes()); err != nil {
-		c.endWatch(w.gen)
-		return nil, nil, err
-	}
-	cancel := func() {
-		if c.endWatch(w.gen) {
-			// Tell the daemon to stop streaming; best effort — it also
-			// notices when its sends start failing.
-			uw := wire.NewWriter(12)
-			uw.Byte(opUnwatch)
-			uw.Uvarint(w.gen)
-			c.call(uw.Bytes()) //nolint:errcheck
-		}
-	}
-	return w.ch, cancel, nil
+	return c.openStream(ctx, w, req.Bytes())
 }
 
 // WatchAll subscribes to the cluster-wide event stream: every job event
 // from every node, merged by the daemon's hub. The channel never closes
-// on a job's terminal event — it closes when cancel is called, when the
-// connection dies, or when the daemon evicts this client for not keeping
-// up (the backpressure contract: non-terminal events may be coalesced
-// behind EvLagged markers; a consumer too slow to keep even job outcomes
-// is cut off rather than allowed to stall the cluster's buses).
-func (c *Client) WatchAll() (<-chan sodee.JobEvent, func(), error) {
+// on a job's terminal event — it closes when cancel is called or ctx
+// ends, when the connection dies, or when the daemon evicts this client
+// for not keeping up (the backpressure contract: non-terminal events may
+// be coalesced behind EvLagged markers; a consumer too slow to keep even
+// job outcomes is cut off rather than allowed to stall the cluster's
+// buses).
+func (c *Client) WatchAll(ctx context.Context) (<-chan sodee.JobEvent, func(), error) {
 	c.mu.Lock()
-	c.watchGen++
-	w := &clientWatch{
-		gen:     c.watchGen,
-		ch:      make(chan sodee.JobEvent, 512),
-		pending: make(map[uint64]sodee.JobEvent),
-		all:     true,
-	}
-	c.watches[w.gen] = w
+	w := c.newWatchLocked(true)
+	// The daemon's hub buffers as much per subscriber (sodee's fanRingCap).
+	w.ch = make(chan sodee.JobEvent, 512)
 	c.mu.Unlock()
-
 	req := wire.NewWriter(12)
 	req.Byte(opWatchAll)
 	req.Uvarint(w.gen)
-	if _, err := c.call(req.Bytes()); err != nil {
-		c.endWatch(w.gen)
+	return c.openStream(ctx, w, req.Bytes())
+}
+
+// openStream sends req, the request that starts stream w at the daemon,
+// and ties the stream's life to ctx.
+func (c *Client) openStream(ctx context.Context, w *clientWatch, req []byte) (<-chan sodee.JobEvent, func(), error) {
+	cancel := c.cancelFunc(w.gen)
+	if _, err := c.call(ctx, req); err != nil {
+		cancel()
 		return nil, nil, err
 	}
-	cancel := func() {
-		if c.endWatch(w.gen) {
-			uw := wire.NewWriter(12)
-			uw.Byte(opUnwatch)
-			uw.Uvarint(w.gen)
-			c.call(uw.Bytes()) //nolint:errcheck
-		}
-	}
+	c.mu.Lock()
+	c.bindLocked(ctx, w)
+	c.mu.Unlock()
 	return w.ch, cancel, nil
 }
 
-// endWatch closes and forgets one watch; reports whether it was live.
+// bindLocked ends stream w when ctx ends, unless it already has; the
+// caller holds c.mu. The hook is released when the stream finishes.
+func (c *Client) bindLocked(ctx context.Context, w *clientWatch) {
+	if !w.closed {
+		w.stopCtx = context.AfterFunc(ctx, c.cancelFunc(w.gen))
+	}
+}
+
+// cancelFunc ends stream gen here and, if it was still live, at the
+// daemon.
+func (c *Client) cancelFunc(gen uint64) func() {
+	return func() {
+		if c.endWatch(gen) {
+			c.unwatch(gen)
+		}
+	}
+}
+
+// unwatch tells the daemon to stop streaming gen. It is one-way and best
+// effort: the daemon also ends a stream when its sends start failing.
+func (c *Client) unwatch(gen uint64) {
+	w := wire.NewWriter(12)
+	w.Byte(opUnwatch)
+	w.Uvarint(gen)
+	c.tr.Send(c.peer, netsim.KindControl, w.Bytes()) //nolint:errcheck
+}
+
+// endWatch closes and forgets one stream; reports whether it was live.
 func (c *Client) endWatch(gen uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,10 +537,7 @@ func (c *Client) endWatch(gen uint64) bool {
 		return false
 	}
 	delete(c.watches, gen)
-	if !w.closed {
-		w.closed = true
-		close(w.ch)
-	}
+	w.finish()
 	return true
 }
 
@@ -304,10 +546,7 @@ func (c *Client) endAllWatches() {
 	defer c.mu.Unlock()
 	for gen, w := range c.watches {
 		delete(c.watches, gen)
-		if !w.closed {
-			w.closed = true
-			close(w.ch)
-		}
+		w.finish()
 	}
 }
 
@@ -329,39 +568,14 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.mu.Lock()
-		w := c.watches[gen]
-		if w != nil && !w.closed {
-			w.pending[streamSeq] = ev
-			for {
-				nextEv, ok := w.pending[w.next]
-				if !ok {
-					break
+		if w := c.watches[gen]; w != nil {
+			if streamSeq != w.next {
+				if w.pending == nil {
+					w.pending = make(map[uint64]sodee.JobEvent)
 				}
-				delete(w.pending, w.next)
-				w.next++
-				select {
-				case w.ch <- nextEv:
-				default:
-					// Slow consumer: drop — except a terminal event, which
-					// carries the job's outcome; evict the oldest queued
-					// event to make room for it.
-					if nextEv.Terminal() {
-						select {
-						case <-w.ch:
-						default:
-						}
-						select {
-						case w.ch <- nextEv:
-						default:
-						}
-					}
-				}
-				if nextEv.Terminal() && !w.all {
-					w.closed = true
-					close(w.ch)
-					delete(c.watches, gen)
-					break
-				}
+				w.pending[streamSeq] = ev
+			} else {
+				c.deliverLocked(w, ev)
 			}
 		}
 		c.mu.Unlock()
@@ -379,21 +593,41 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 	}
 }
 
-// Run submits a job and waits for its result.
-func (c *Client) Run(method string, timeout time.Duration, args ...int64) (int64, error) {
-	id, err := c.Submit(method, args...)
+// deliverLocked delivers in-order event ev and any early arrivals it
+// unblocks; a terminal ends a per-job stream. The caller holds c.mu.
+func (c *Client) deliverLocked(w *clientWatch, ev sodee.JobEvent) {
+	for {
+		w.next++
+		w.push(ev)
+		if ev.Terminal() && !w.all {
+			t := ev
+			w.term = &t
+			delete(c.watches, w.gen)
+			w.finish()
+			return
+		}
+		next, ok := w.pending[w.next]
+		if !ok {
+			return
+		}
+		delete(w.pending, w.next)
+		ev = next
+	}
+}
+
+// Run submits a job and waits for its result from the job's stream; ctx
+// bounds the whole run.
+func (c *Client) Run(ctx context.Context, method string, args ...int64) (int64, error) {
+	j, err := c.Submit(ctx, method, args...)
 	if err != nil {
 		return 0, err
 	}
-	res, done, errMsg, err := c.Wait(id, timeout)
+	res, errMsg, err := j.Wait(ctx)
 	if err != nil {
-		return 0, err
-	}
-	if !done {
-		return 0, fmt.Errorf("job %d still running after %v", id, timeout)
+		return 0, fmt.Errorf("job %d: %w", j.ID(), err)
 	}
 	if errMsg != "" {
-		return 0, fmt.Errorf("job %d failed: %s", id, errMsg)
+		return 0, fmt.Errorf("job %d failed: %s", j.ID(), errMsg)
 	}
 	return res, nil
 }
@@ -401,10 +635,10 @@ func (c *Client) Run(method string, timeout time.Duration, args ...int64) (int64
 // Stats queries the daemon's balancer counters, including the
 // per-direction migration split (pushed / stolen / rebalanced /
 // chained) and the node's steal counters.
-func (c *Client) Stats() (sodee.BalanceStats, sodee.StealStats, error) {
+func (c *Client) Stats(ctx context.Context) (sodee.BalanceStats, sodee.StealStats, error) {
 	w := wire.NewWriter(1)
 	w.Byte(opStats)
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return sodee.BalanceStats{}, sodee.StealStats{}, err
 	}
@@ -440,10 +674,10 @@ func (c *Client) Stats() (sodee.BalanceStats, sodee.StealStats, error) {
 // Metrics snapshots the daemon's metrics registry (counters, gauges,
 // histograms). Snapshots from several daemons merge into a cluster view
 // with Snapshot.Merge.
-func (c *Client) Metrics() (*obs.Snapshot, error) {
+func (c *Client) Metrics(ctx context.Context) (*obs.Snapshot, error) {
 	w := wire.NewWriter(1)
 	w.Byte(opMetrics)
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -454,11 +688,11 @@ func (c *Client) Metrics() (*obs.Snapshot, error) {
 // per migration hop, chain plants and forwards — causally ordered at the
 // job's origin node. Ask the daemon that started the job: spans ride
 // home to the origin, other nodes answer "no trace".
-func (c *Client) Trace(job uint64) ([]obs.Span, error) {
+func (c *Client) Trace(ctx context.Context, job uint64) ([]obs.Span, error) {
 	w := wire.NewWriter(12)
 	w.Byte(opTrace)
 	w.Uvarint(job)
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -473,10 +707,10 @@ type LoadInfo struct {
 }
 
 // Load queries the daemon's local and gossiped load signals.
-func (c *Client) Load() (LoadInfo, error) {
+func (c *Client) Load(ctx context.Context) (LoadInfo, error) {
 	w := wire.NewWriter(1)
 	w.Byte(opLoad)
-	reply, err := c.call(w.Bytes())
+	reply, err := c.call(ctx, w.Bytes())
 	if err != nil {
 		return LoadInfo{}, err
 	}

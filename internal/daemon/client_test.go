@@ -50,7 +50,7 @@ func TestDaemonDiesMidWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	job, err := ctl.Submit("main", 5, 10_000_000)
+	job, err := ctl.Submit(context.Background(), "main", 5, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDaemonDiesMidWait(t *testing.T) {
 	}
 	got := make(chan outcome, 1)
 	go func() {
-		_, errMsg, err := ctl.WaitContext(context.Background(), job)
+		_, errMsg, err := job.Wait(context.Background())
 		got <- outcome{errMsg, err}
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -84,11 +84,11 @@ func TestWatchStreamEndsOnCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	job, err := ctl.Submit("main", 3, 20_000)
+	job, err := ctl.Submit(context.Background(), "main", 3, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := ctl.Watch(job)
+	ch, cancel, err := ctl.Watch(context.Background(), job.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ closed:
 		t.Errorf("completion result %d, want %d", last.Result, want)
 	}
 	// Watching an unknown job errors instead of streaming nothing.
-	if _, _, err := ctl.Watch(1 << 40); err == nil {
+	if _, _, err := ctl.Watch(context.Background(), 1<<40); err == nil {
 		t.Error("watch of an unknown job should fail")
 	}
 }
@@ -135,11 +135,11 @@ func TestWatchStreamEndsOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	job, err := ctl.Submit("main", 4, 10_000_000)
+	job, err := ctl.Submit(context.Background(), "main", 4, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := ctl.Watch(job)
+	ch, cancel, err := ctl.Watch(context.Background(), job.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestCancelThenRewatchSameJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	job, err := ctl.Submit("main", 6, 2_000_000)
+	job, err := ctl.Submit(context.Background(), "main", 6, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch1, cancel1, err := ctl.Watch(job)
+	ch1, cancel1, err := ctl.Watch(context.Background(), job.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCancelThenRewatchSameJob(t *testing.T) {
 		t.Fatal("no replayed event on first watch")
 	}
 	cancel1()
-	ch2, cancel2, err := ctl.Watch(job)
+	ch2, cancel2, err := ctl.Watch(context.Background(), job.ID())
 	if err != nil {
 		t.Fatalf("re-watch after cancel: %v", err)
 	}
@@ -220,7 +220,8 @@ func TestCancelThenRewatchSameJob(t *testing.T) {
 }
 
 // TestControlProtocolVersionSkew: both skew shapes fail with an error
-// that names the protocol problem — a wrong version in the hello, and a
+// that names the protocol problem — a wrong version in the hello (a
+// future one, and v4, the last before submits opened streams), and a
 // pre-versioning join with no version at all.
 func TestControlProtocolVersionSkew(t *testing.T) {
 	d := bootOne(t, 1)
@@ -234,12 +235,16 @@ func TestControlProtocolVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hello := wire.NewWriter(4)
-	hello.Byte(opHello)
-	hello.Uvarint(ProtocolVersion + 41)
-	if _, err := tr.Call(peer, netsim.KindControl, hello.Bytes()); err == nil ||
-		!strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("future-version hello: err = %v, want protocol mismatch", err)
+	for _, v := range []uint64{ProtocolVersion + 41, 4} {
+		// v4 clients send submits without a stream generation; a v5
+		// daemon must refuse them at the hello, not misread their frames.
+		hello := wire.NewWriter(4)
+		hello.Byte(opHello)
+		hello.Uvarint(v)
+		if _, err := tr.Call(peer, netsim.KindControl, hello.Bytes()); err == nil ||
+			!strings.Contains(err.Error(), "protocol mismatch") {
+			t.Errorf("v%d hello: err = %v, want protocol mismatch", v, err)
+		}
 	}
 
 	oldJoin := wire.NewWriter(32)
@@ -270,7 +275,7 @@ func TestWatcherChurnReleasesGoroutines(t *testing.T) {
 	defer ctl.Close()
 	// Touch WatchAll once so the daemon's event hub (a fixed goroutine
 	// cost, alive until Stop) exists before the baseline is taken.
-	_, cancelAll, err := ctl.WatchAll()
+	_, cancelAll, err := ctl.WatchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +295,7 @@ func TestWatcherChurnReleasesGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < perConn; j++ {
-			if _, _, err := c.WatchAll(); err != nil {
+			if _, _, err := c.WatchAll(context.Background()); err != nil {
 				t.Fatalf("conn %d stream %d: %v", i, j, err)
 			}
 		}
@@ -301,7 +306,7 @@ func TestWatcherChurnReleasesGoroutines(t *testing.T) {
 
 	// Phase two: per-job streams on a job that is still running when the
 	// connection dies, so the streams are mid-fanout, not replay-and-done.
-	job, err := ctl.Submit("main", 9, 40_000_000)
+	job, err := ctl.Submit(context.Background(), "main", 9, 40_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +315,12 @@ func TestWatcherChurnReleasesGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 10; j++ {
-		if _, _, err := c.Watch(job); err != nil {
+		if _, _, err := c.Watch(context.Background(), job.ID()); err != nil {
 			t.Fatalf("live watch %d: %v", j, err)
 		}
 	}
 	c.Close()
-	if _, errMsg, err := ctl.WaitContext(context.Background(), job); err != nil || errMsg != "" {
+	if _, errMsg, err := job.Wait(context.Background()); err != nil || errMsg != "" {
 		t.Fatalf("wait: %v %q", err, errMsg)
 	}
 
@@ -332,5 +337,88 @@ func TestWatcherChurnReleasesGoroutines(t *testing.T) {
 			t.Fatalf("goroutines never settled: baseline %d, still %d\n%s", baseline, n, buf)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// streamCounts reports how many streams the client routes and holds, and
+// how many the daemon serves.
+func streamCounts(c *Client, d *Daemon) (routed, held, served int) {
+	c.mu.Lock()
+	routed, held = len(c.watches), len(c.held)
+	c.mu.Unlock()
+	d.watchMu.Lock()
+	served = len(d.watches)
+	d.watchMu.Unlock()
+	return routed, held, served
+}
+
+// TestFailedSubmitHoldsNothing: a Submit the daemon refuses (unknown
+// method) leaves no stream behind on either side.
+func TestFailedSubmitHoldsNothing(t *testing.T) {
+	d := bootOne(t, 1)
+	ctl, err := Dial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if _, err := ctl.Submit(context.Background(), "no_such_method", 1); err == nil {
+		t.Fatal("submitting an unknown method should fail")
+	}
+	if routed, held, served := streamCounts(ctl, d); routed+held+served != 0 {
+		t.Fatalf("failed submit left streams: client routes %d, holds %d; daemon serves %d", routed, held, served)
+	}
+}
+
+// TestHeldStreamsBounded: a client that submits and never watches or
+// waits holds at most maxHeld streams, across more jobs than the daemon
+// retains. The oldest held streams give way; their jobs still answer
+// Wait through opWait.
+func TestHeldStreamsBounded(t *testing.T) {
+	d, err := New(Config{ID: 1, Policy: "none", Interval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Stop)
+	ctl, err := Dial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ctx := context.Background()
+	// As in the conformance retention test: enough jobs that the
+	// daemon's finished FIFO and, after one eviction pass, its event bus
+	// have both moved past the first.
+	jobs := sodee.RetainedJobs + sodee.RetainedJobs/4 + 1
+	var first *Job
+	maxSeen := 0
+	for i := 0; i < jobs; i++ {
+		j, err := ctl.Submit(ctx, "main", int64(i%101), 10)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if first == nil {
+			first = j
+		}
+		if _, held, _ := streamCounts(ctl, d); held > maxSeen {
+			maxSeen = held
+		}
+	}
+	if maxSeen > maxHeld {
+		t.Fatalf("client held %d streams, cap %d", maxSeen, maxHeld)
+	}
+	if maxSeen < maxHeld {
+		t.Fatalf("client held at most %d streams over %d submits; the cap %d was never reached", maxSeen, jobs, maxHeld)
+	}
+	// The first job's stream left the held set long ago, and the daemon
+	// has since forgotten the job: a Watch of it asks the daemon, which
+	// refuses. Its handle still answers Wait from the terminal event its
+	// stream delivered before it was evicted.
+	if _, _, err := ctl.Watch(ctx, first.ID()); err == nil {
+		t.Error("Watch of an evicted, forgotten job should fail")
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if res, errMsg, err := first.Wait(wctx); err != nil || errMsg != "" || res != workloads.CruncherExpected(0, 10) {
+		t.Fatalf("wait on the first job = %d, %q, %v; want %d", res, errMsg, err, workloads.CruncherExpected(0, 10))
 	}
 }

@@ -52,29 +52,45 @@ import (
 //
 // v4: observability plane — opMetrics (node metrics-registry snapshot)
 // and opTrace (a job's causally-ordered migration span timeline).
-const ProtocolVersion = 4
+//
+// v5: opSubmit and opSubmitChain carry a client-chosen stream generation
+// and open the job's event stream in the same request, so a watched job
+// needs one round trip instead of three (submit, watch, wait). Clients
+// send opUnwatch one-way.
+const ProtocolVersion = 5
 
 // Control operations (first byte of a KindControl payload).
 const (
 	opJoin        byte = 1  // {id, addr, version} → full roster; broadcast if new
 	opNewMember   byte = 2  // one-way roster gossip {id, addr}
 	opMembers     byte = 3  // → membership snapshot
-	opSubmit      byte = 4  // {method, args...} → job id
+	opSubmit      byte = 4  // {method, args..., gen} → job id; events stream as opEvent frames
 	opWait        byte = 5  // {job, timeout} → result
 	opStats       byte = 6  // → balancer stats
 	opLoad        byte = 7  // → local+peer signals, wire latencies
 	opHello       byte = 8  // {version} → {version}: protocol handshake
 	opWatch       byte = 9  // {job, gen} → ack; events stream as opEvent frames
-	opUnwatch     byte = 10 // {gen}: cancel one watch stream (acked)
+	opUnwatch     byte = 10 // {gen}: cancel one watch stream (clients send it one-way)
 	opEvent       byte = 11 // daemon → client, one-way: {gen, seq, JobEvent}
 	opEventEnd    byte = 12 // daemon → client, one-way: {gen} stream over
-	opSubmitChain byte = 13 // {method, args...} → job id, chain-planned placement
+	opSubmitChain byte = 13 // {method, args..., gen} → job id, chain-planned placement; streams like opSubmit
 	opWatchAll    byte = 14 // {gen} → ack; every cluster event streams as opEvent frames
 	opTap         byte = 15 // daemon ↔ daemon: {on} start/stop forwarding my bus firehose to you
 	opTapEvent    byte = 16 // daemon → daemon, one-way: {seq, JobEvent} tap traffic
 	opMetrics     byte = 17 // → metrics-registry snapshot (obs.EncodeSnapshot)
 	opTrace       byte = 18 // {job} → span timeline (obs.EncodeSpans); error if no trace
 )
+
+// opNames labels sod_control_requests_total by the op a frame names. The
+// client-bound stream frames (opEvent, opEventEnd) have no name: a
+// daemon never receives them.
+var opNames = [...]string{
+	opJoin: "join", opNewMember: "new_member", opMembers: "members",
+	opSubmit: "submit", opWait: "wait", opStats: "stats", opLoad: "load",
+	opHello: "hello", opWatch: "watch", opUnwatch: "unwatch",
+	opSubmitChain: "submit_chain", opWatchAll: "watch_all", opTap: "tap",
+	opTapEvent: "tap_event", opMetrics: "metrics", opTrace: "trace",
+}
 
 // Config configures one daemon.
 type Config struct {
@@ -183,6 +199,10 @@ type Daemon struct {
 	tapsIn  map[int]*tapReorder
 	tapsOut map[int]func()
 
+	// ctlRequests counts control frames received, per op (nil for ops
+	// without a name).
+	ctlRequests [len(opNames)]*obs.Counter
+
 	// obsSrv is the opt-in observability HTTP listener (StartObs);
 	// guarded by d.mu, closed by Stop.
 	obsSrv *http.Server
@@ -279,6 +299,11 @@ func New(cfg Config) (*Daemon, error) {
 		tapsIn:  make(map[int]*tapReorder),
 		tapsOut: make(map[int]func()),
 		stopCh:  make(chan struct{}),
+	}
+	for op, name := range opNames {
+		if name != "" {
+			d.ctlRequests[op] = n.Obs.Counter(obs.Label("sod_control_requests_total", "op", name))
+		}
 	}
 	tr.Handle(netsim.KindControl, d.handleControl)
 	// A peer's connection dying must promptly release everything streaming
@@ -570,6 +595,9 @@ func (d *Daemon) handleControl(from int, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("daemon: empty control frame")
 	}
+	if op := int(payload[0]); op < len(d.ctlRequests) && d.ctlRequests[op] != nil {
+		d.ctlRequests[op].IncKeyed(uint64(from))
+	}
 	r := wire.NewReader(payload[1:])
 	switch payload[0] {
 	case opJoin:
@@ -579,9 +607,9 @@ func (d *Daemon) handleControl(from int, payload []byte) ([]byte, error) {
 	case opMembers:
 		return d.handleMembers()
 	case opSubmit:
-		return d.handleSubmit(r, false)
+		return d.handleSubmit(from, r, false)
 	case opSubmitChain:
-		return d.handleSubmit(r, true)
+		return d.handleSubmit(from, r, true)
 	case opWait:
 		return d.handleWait(r)
 	case opStats:
@@ -750,19 +778,29 @@ func (d *Daemon) handleMembers() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-func (d *Daemon) handleSubmit(r *wire.Reader, chained bool) ([]byte, error) {
+// handleSubmit starts a job and opens its event stream toward the
+// submitter under the client-chosen generation, before replying: the
+// stream replays the bus history, so nothing published between the start
+// and the subscribe is lost. The stream is a watch like any other —
+// opUnwatch, peerDown and Stop end it the same way. If it cannot be
+// opened the client gets opEventEnd and falls back to opWait.
+func (d *Daemon) handleSubmit(from int, r *wire.Reader, chained bool) ([]byte, error) {
 	method := string(r.Blob())
 	n := int(r.Uvarint())
 	args := make([]int64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		args[i] = r.Varint()
 	}
+	gen := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	job, err := d.submit(method, chained, args...)
 	if err != nil {
 		return nil, err
+	}
+	if err := d.watchJob(from, gen, job.ID); err != nil {
+		d.sendEventEnd(from, gen)
 	}
 	w := wire.NewWriter(16)
 	w.Uvarint(job.ID)
@@ -873,16 +911,22 @@ func (d *Daemon) handleWatch(from int, r *wire.Reader) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	return nil, d.watchJob(from, gen, jobID)
+}
+
+// watchJob subscribes peer to a job's bus stream under generation gen and
+// starts forwarding it (the shared half of opWatch and opSubmit).
+func (d *Daemon) watchJob(peer int, gen, jobID uint64) error {
 	select {
 	case <-d.stopCh:
-		return nil, fmt.Errorf("daemon: shutting down")
+		return fmt.Errorf("daemon: shutting down")
 	default:
 	}
 	ch, cancel, ok := d.node.Mgr.Events().Subscribe(jobID)
 	if !ok {
-		return nil, fmt.Errorf("daemon: no job %d", jobID)
+		return fmt.Errorf("daemon: no job %d", jobID)
 	}
-	key := watchKey{peer: from, gen: gen}
+	key := watchKey{peer: peer, gen: gen}
 	entry := &watchEntry{job: jobID, cancel: cancel}
 	d.watchMu.Lock()
 	if old := d.watches[key]; old != nil {
@@ -891,7 +935,7 @@ func (d *Daemon) handleWatch(from int, r *wire.Reader) ([]byte, error) {
 	d.watches[key] = entry
 	d.watchMu.Unlock()
 	go d.streamEvents(key, entry, ch, true)
-	return nil, nil
+	return nil
 }
 
 // handleWatchAll subscribes the requesting client to the cluster-wide
@@ -1163,6 +1207,14 @@ func (d *Daemon) streamEvents(key watchKey, entry *watchEntry, ch <-chan sodee.J
 			return
 		}
 	}
+}
+
+// sendEventEnd tells peer that stream gen is over without a terminal.
+func (d *Daemon) sendEventEnd(peer int, gen uint64) {
+	w := wire.NewWriter(12)
+	w.Byte(opEventEnd)
+	w.Uvarint(gen)
+	d.tr.Send(peer, netsim.KindControl, w.Bytes()) //nolint:errcheck // stream is over either way
 }
 
 func (d *Daemon) handleLoad() ([]byte, error) {

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestThreeNodeClusterFormsAndBalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	if self, members, err := ctl.Members(); err != nil || self != 1 || len(members) != 2 {
+	if self, members, err := ctl.Members(context.Background()); err != nil || self != 1 || len(members) != 2 {
 		t.Fatalf("ctl members: self=%d members=%+v err=%v", self, members, err)
 	}
 
@@ -98,14 +99,14 @@ func TestThreeNodeClusterFormsAndBalances(t *testing.T) {
 	seeds := make([]int64, njobs)
 	for i := range jobIDs {
 		seeds[i] = int64(300 + i)
-		id, err := ctl.Submit("main", seeds[i], testIters)
+		j, err := ctl.Submit(context.Background(), "main", seeds[i], testIters)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		jobIDs[i] = id
+		jobIDs[i] = j.ID()
 	}
 	for i, id := range jobIDs {
-		res, done, errMsg, err := ctl.Wait(id, testTimeout)
+		res, done, errMsg, err := ctl.Wait(context.Background(), id, testTimeout)
 		if err != nil || !done || errMsg != "" {
 			t.Fatalf("job %d: done=%v errMsg=%q err=%v", i, done, errMsg, err)
 		}
@@ -114,7 +115,7 @@ func TestThreeNodeClusterFormsAndBalances(t *testing.T) {
 		}
 	}
 
-	st, _, err := ctl.Stats()
+	st, _, err := ctl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestThreeNodeClusterFormsAndBalances(t *testing.T) {
 		t.Error("strong nodes executed nothing despite migrations")
 	}
 	// Migration transfers calibrated at least one link estimate.
-	load, err := ctl.Load()
+	load, err := ctl.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +252,12 @@ func TestControlPlaneAcrossDaemons(t *testing.T) {
 	}
 	defer ctl.Close()
 
-	if _, err := ctl.Submit("no_such_method", 1); err == nil {
+	if _, err := ctl.Submit(context.Background(), "no_such_method", 1); err == nil {
 		t.Fatal("submitting an unknown method should fail")
 	}
-	res, err := ctl.Run("main", testTimeout, 7, 20_000)
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	res, err := ctl.Run(ctx, "main", 7, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +356,14 @@ func TestStealOnlyClusterSplitsStatsByDirection(t *testing.T) {
 	seeds := make([]int64, njobs)
 	for i := range jobIDs {
 		seeds[i] = int64(700 + i)
-		id, err := ctl.Submit("main", seeds[i], stealIters)
+		j, err := ctl.Submit(context.Background(), "main", seeds[i], stealIters)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		jobIDs[i] = id
+		jobIDs[i] = j.ID()
 	}
 	for i, id := range jobIDs {
-		res, done, errMsg, err := ctl.Wait(id, testTimeout)
+		res, done, errMsg, err := ctl.Wait(context.Background(), id, testTimeout)
 		if err != nil || !done || errMsg != "" {
 			t.Fatalf("job %d: done=%v errMsg=%q err=%v", i, done, errMsg, err)
 		}
@@ -371,7 +374,7 @@ func TestStealOnlyClusterSplitsStatsByDirection(t *testing.T) {
 
 	// The victim's view: it pushed nothing (policy none) and stole
 	// nothing (it was the loaded one), but it granted steals.
-	vicBal, vicSteal, err := ctl.Stats()
+	vicBal, vicSteal, err := ctl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +392,7 @@ func TestStealOnlyClusterSplitsStatsByDirection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal, steal, err := ctl2.Stats()
+		bal, steal, err := ctl2.Stats(context.Background())
 		ctl2.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -98,14 +99,14 @@ func TestTraceTimelineAcrossDaemons(t *testing.T) {
 	const njobs = 5
 	ids := make([]uint64, njobs)
 	for i := range ids {
-		id, err := cl.Submit("main", int64(20+i), testIters)
+		j, err := cl.Submit(context.Background(), "main", int64(20+i), testIters)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ids[i] = id
+		ids[i] = j.ID()
 	}
 	for _, id := range ids {
-		if _, done, errMsg, err := cl.Wait(id, testTimeout); err != nil || !done || errMsg != "" {
+		if _, done, errMsg, err := cl.Wait(context.Background(), id, testTimeout); err != nil || !done || errMsg != "" {
 			t.Fatalf("job %d: done=%v errMsg=%q err=%v", id, done, errMsg, err)
 		}
 	}
@@ -116,7 +117,7 @@ func TestTraceTimelineAcrossDaemons(t *testing.T) {
 	for {
 		var best []obs.Span
 		for _, id := range ids {
-			spans, err := cl.Trace(id)
+			spans, err := cl.Trace(context.Background(), id)
 			if err != nil {
 				t.Fatalf("trace job %d: %v", id, err)
 			}
@@ -141,7 +142,7 @@ func TestTraceTimelineAcrossDaemons(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	snap, err := cl.Metrics()
+	snap, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

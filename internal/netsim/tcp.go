@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -349,9 +351,15 @@ const (
 
 func (t *TCPTransport) readLoop(peerID int, c *tcpConn) {
 	defer t.dropConn(peerID, c)
+	// One buffered reader per connection, wrapped after the hello
+	// handshake: a small frame's header and payload then arrive in one
+	// read syscall instead of two. Payloads larger than the buffer are
+	// read straight from the socket, so big migration frames are not
+	// copied twice.
+	br := bufio.NewReader(c.conn)
+	var hdr [14]byte
 	for {
-		hdr := make([]byte, 14)
-		if _, err := io.ReadFull(c.conn, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		kind := MsgKind(hdr[0])
@@ -367,7 +375,7 @@ func (t *TCPTransport) readLoop(peerID int, c *tcpConn) {
 			return
 		}
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(c.conn, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 
@@ -440,6 +448,17 @@ func (t *TCPTransport) peer(to int) (*tcpConn, error) {
 // that dies mid-call fails the call, and CallTimeout (when set) bounds
 // the wait on a peer that stays connected but silent.
 func (t *TCPTransport) Call(to int, kind MsgKind, payload []byte) ([]byte, error) {
+	return t.CallContext(context.Background(), to, kind, payload)
+}
+
+// CallContext is Call bounded by ctx as well: the caller's goroutine
+// waits on the reply and on ctx.Done() together, so an abandoned call
+// costs no extra goroutine. A reply that lands after ctx ended is
+// dropped.
+func (t *TCPTransport) CallContext(ctx context.Context, to int, kind MsgKind, payload []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("tcp: node %d call to %d: %w", t.id, to, err)
+	}
 	c, err := t.peer(to)
 	if err != nil {
 		return nil, err
@@ -453,33 +472,37 @@ func (t *TCPTransport) Call(to int, kind MsgKind, payload []byte) ([]byte, error
 	}
 	t.waiting[corr] = p
 	t.mu.Unlock()
-	if err := c.writeFrame(kind, 0, corr, payload); err != nil {
+	forget := func() {
 		t.mu.Lock()
 		delete(t.waiting, corr)
 		t.mu.Unlock()
+	}
+	if err := c.writeFrame(kind, 0, corr, payload); err != nil {
+		forget()
 		if errors.Is(err, ErrFrameTooLarge) {
 			// The connection is healthy; only this payload is refused.
 			return nil, fmt.Errorf("tcp: node %d call to %d: %w", t.id, to, err)
 		}
 		return nil, fmt.Errorf("tcp: node %d send to %d: %v: %w", t.id, to, err, ErrUnreachable)
 	}
-	var rep tcpReply
+	var timeout <-chan time.Time
 	if t.CallTimeout > 0 {
 		timer := time.NewTimer(t.CallTimeout)
-		select {
-		case rep = <-p.ch:
-			timer.Stop()
-		case <-timer.C:
-			t.mu.Lock()
-			delete(t.waiting, corr)
-			t.mu.Unlock()
-			// A reply racing the timeout lands in the buffered channel and
-			// is dropped with it.
-			return nil, fmt.Errorf("tcp: node %d call to %d timed out after %v: %w",
-				t.id, to, t.CallTimeout, ErrUnreachable)
-		}
-	} else {
-		rep = <-p.ch
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	// A reply racing the timeout or ctx lands in the buffered channel and
+	// is dropped with it.
+	var rep tcpReply
+	select {
+	case rep = <-p.ch:
+	case <-timeout:
+		forget()
+		return nil, fmt.Errorf("tcp: node %d call to %d timed out after %v: %w",
+			t.id, to, t.CallTimeout, ErrUnreachable)
+	case <-ctx.Done():
+		forget()
+		return nil, fmt.Errorf("tcp: node %d call to %d: %w", t.id, to, ctx.Err())
 	}
 	if rep.lost {
 		return nil, fmt.Errorf("tcp: node %d call to %d: %s: %w", t.id, to, rep.err, ErrUnreachable)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -175,5 +176,61 @@ func TestTCPOversizeLengthPrefixDropsConn(t *testing.T) {
 			t.Fatal("connection survived a corrupt oversize length prefix")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPCallContextCancel: a call whose context ends while the peer
+// sits on the request returns the context's error promptly, forgets the
+// pending entry, and leaves the connection usable — the late reply is
+// dropped, not delivered to a later call.
+func TestTCPCallContextCancel(t *testing.T) {
+	t1, t2 := tcpPair(t)
+	release := make(chan struct{})
+	t2.Handle(KindMigrate, func(from int, payload []byte) ([]byte, error) {
+		if string(payload) == "slow" {
+			<-release
+		}
+		return payload, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := t1.CallContext(ctx, 2, KindMigrate, []byte("slow")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow call: err = %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled call took %v", d)
+	}
+	t1.mu.Lock()
+	pending := len(t1.waiting)
+	t1.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d calls still pending after the context ended", pending)
+	}
+	close(release)
+	got, err := t1.Call(2, KindMigrate, []byte("next"))
+	if err != nil || string(got) != "next" {
+		t.Fatalf("call after a cancelled one: %q, %v", got, err)
+	}
+	if _, err := t1.CallContext(ctx, 2, KindMigrate, []byte("x")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call with an ended context: err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestTCPManySmallFramesInOrder: small frames sent back to back share
+// the receiver's read buffer; every one must arrive intact, whatever
+// the mix of sizes around the buffer's edge.
+func TestTCPManySmallFramesInOrder(t *testing.T) {
+	t1, t2 := tcpPair(t)
+	t2.Handle(KindMigrate, func(from int, payload []byte) ([]byte, error) { return payload, nil })
+	for i := 0; i < 200; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, (i*97)%9000)
+		got, err := t1.Call(2, KindMigrate, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d corrupted: %d bytes back, sent %d", i, len(got), len(payload))
+		}
 	}
 }

@@ -53,7 +53,10 @@ type Client interface {
 	// result flushing home, completed. Retained history replays first, so
 	// watching after submission loses nothing. The channel closes after
 	// the terminal event, when ctx ends, or when the connection to the
-	// cluster is lost.
+	// cluster is lost. Over a daemon, Submit already opened the job's
+	// stream: the first Watch of a job from the client that submitted it
+	// takes that stream and costs no round trip; any other Watch asks
+	// the daemon for a stream of its own.
 	Watch(ctx context.Context, jobID uint64) (<-chan JobEvent, error)
 	// WatchAll streams every job event from every node in the cluster
 	// through one subscription — the feed behind dashboards and sodctl
@@ -104,7 +107,10 @@ type JobHandle interface {
 	// ID is the job's identity at its origin node — the id Watch takes.
 	ID() uint64
 	// Wait blocks for the job's final result, wherever in the cluster it
-	// completes. A ctx error means the wait ended, not the job.
+	// completes. A ctx error means the wait ended, not the job. Over a
+	// daemon, a handle from Submit resolves locally from the terminal
+	// event on the stream its Submit opened; it asks the daemon only if
+	// that stream ended without one, and handles from Job always ask.
 	Wait(ctx context.Context) (Value, error)
 	// Done reports completion without blocking.
 	Done() bool
@@ -367,28 +373,6 @@ type daemonClient struct {
 	c *daemon.Client
 }
 
-// callCtx runs one blocking control RPC while honoring ctx: the RPC
-// itself is bounded by the transport, and a canceled context abandons
-// the wait (the goroutine drains when the call returns).
-func callCtx[T any](ctx context.Context, f func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := f()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
-}
-
 func (dc *daemonClient) Submit(ctx context.Context, method string, args ...Value) (JobHandle, error) {
 	return dc.submit(ctx, dc.c.Submit, method, args)
 }
@@ -397,7 +381,7 @@ func (dc *daemonClient) SubmitChain(ctx context.Context, method string, args ...
 	return dc.submit(ctx, dc.c.SubmitChain, method, args)
 }
 
-func (dc *daemonClient) submit(ctx context.Context, op func(string, ...int64) (uint64, error), method string, args []Value) (JobHandle, error) {
+func (dc *daemonClient) submit(ctx context.Context, op func(context.Context, string, ...int64) (*daemon.Job, error), method string, args []Value) (JobHandle, error) {
 	ints := make([]int64, len(args))
 	for i, a := range args {
 		if a.Kind != value.KindInt {
@@ -405,36 +389,29 @@ func (dc *daemonClient) submit(ctx context.Context, op func(string, ...int64) (u
 		}
 		ints[i] = a.I
 	}
-	id, err := callCtx(ctx, func() (uint64, error) { return op(method, ints...) })
+	j, err := op(ctx, method, ints...)
 	if err != nil {
 		return nil, err
 	}
-	return &remoteJob{c: dc.c, id: id}, nil
+	return remoteJob{j}, nil
 }
 
 func (dc *daemonClient) Job(id uint64) (JobHandle, error) {
 	// Probe: a zero-timeout wait answers instantly and errors for an
 	// unknown id.
-	if _, _, _, err := dc.c.Wait(id, 0); err != nil {
+	if _, _, _, err := dc.c.Wait(context.Background(), id, 0); err != nil {
 		return nil, err
 	}
-	return &remoteJob{c: dc.c, id: id}, nil
+	return remoteJob{dc.c.Job(id)}, nil
 }
 
 func (dc *daemonClient) Members(ctx context.Context) ([]Member, error) {
-	type reply struct {
-		self    int
-		members []daemon.MemberInfo
-	}
-	rep, err := callCtx(ctx, func() (reply, error) {
-		self, members, err := dc.c.Members()
-		return reply{self, members}, err
-	})
+	self, members, err := dc.c.Members(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := []Member{{Node: rep.self, State: membership.Alive, Self: true}}
-	for _, m := range rep.members {
+	out := []Member{{Node: self, State: membership.Alive, Self: true}}
+	for _, m := range members {
 		out = append(out, Member{
 			Node:       m.Node,
 			State:      m.State,
@@ -447,37 +424,28 @@ func (dc *daemonClient) Members(ctx context.Context) ([]Member, error) {
 }
 
 func (dc *daemonClient) Stats(ctx context.Context) (ClusterStats, error) {
-	return callCtx(ctx, func() (ClusterStats, error) {
-		bal, steal, err := dc.c.Stats()
-		return ClusterStats{Balance: bal, Steal: steal}, err
-	})
+	bal, steal, err := dc.c.Stats(ctx)
+	return ClusterStats{Balance: bal, Steal: steal}, err
 }
 
+// Daemon streams end when ctx does on their own, so they are returned
+// as they are.
 func (dc *daemonClient) Watch(ctx context.Context, jobID uint64) (<-chan JobEvent, error) {
-	inner, cancel, err := dc.c.Watch(jobID)
-	if err != nil {
-		return nil, err
-	}
-	return watchWithContext(ctx, inner, cancel), nil
+	ch, _, err := dc.c.Watch(ctx, jobID)
+	return ch, err
 }
 
 func (dc *daemonClient) WatchAll(ctx context.Context) (<-chan JobEvent, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	inner, cancel, err := dc.c.WatchAll()
-	if err != nil {
-		return nil, err
-	}
-	return streamWithContext(ctx, inner, cancel), nil
+	ch, _, err := dc.c.WatchAll(ctx)
+	return ch, err
 }
 
 func (dc *daemonClient) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
-	return callCtx(ctx, dc.c.Metrics)
+	return dc.c.Metrics(ctx)
 }
 
 func (dc *daemonClient) Trace(ctx context.Context, jobID uint64) ([]TraceSpan, error) {
-	return callCtx(ctx, func() ([]TraceSpan, error) { return dc.c.Trace(jobID) })
+	return dc.c.Trace(ctx, jobID)
 }
 
 func (dc *daemonClient) Close() error {
@@ -485,45 +453,32 @@ func (dc *daemonClient) Close() error {
 	return nil
 }
 
-// remoteJob adapts the daemon control protocol to JobHandle.
-type remoteJob struct {
-	c  *daemon.Client
-	id uint64
-}
+// remoteJob adapts a daemon job to JobHandle. A submitted job answers
+// Wait and Done from its event stream's terminal event.
+type remoteJob struct{ j *daemon.Job }
 
-func (h *remoteJob) ID() uint64 { return h.id }
+func (h remoteJob) ID() uint64 { return h.j.ID() }
 
-func (h *remoteJob) Wait(ctx context.Context) (Value, error) {
-	res, errMsg, err := h.c.WaitContext(ctx, h.id)
+func (h remoteJob) Wait(ctx context.Context) (Value, error) {
+	res, errMsg, err := h.j.Wait(ctx)
 	if err != nil {
 		return Value{}, err
 	}
 	if errMsg != "" {
-		return Value{}, fmt.Errorf("sod: job %d failed: %s", h.id, errMsg)
+		return Value{}, fmt.Errorf("sod: job %d failed: %s", h.j.ID(), errMsg)
 	}
 	return Int(res), nil
 }
 
-func (h *remoteJob) Done() bool {
-	_, done, _, err := h.c.Wait(h.id, 0)
+func (h remoteJob) Done() bool {
+	done, err := h.j.Done(context.Background())
 	return err == nil && done
 }
 
-// watchWithContext bridges a raw event channel to one whose lifetime is
-// bounded by ctx: events forward until the stream ends or ctx does, and
-// the subscription is released either way. A terminal event ends the
-// stream — the per-job shape.
+// watchWithContext bridges a bus subscription to a channel whose
+// lifetime is bounded by ctx: events forward until the stream ends or
+// ctx does, and the subscription is released either way.
 func watchWithContext(ctx context.Context, inner <-chan JobEvent, cancel func()) <-chan JobEvent {
-	return bridge(ctx, inner, cancel, true)
-}
-
-// streamWithContext is watchWithContext for endless streams (WatchAll):
-// terminal events pass through without closing the channel.
-func streamWithContext(ctx context.Context, inner <-chan JobEvent, cancel func()) <-chan JobEvent {
-	return bridge(ctx, inner, cancel, false)
-}
-
-func bridge(ctx context.Context, inner <-chan JobEvent, cancel func(), endOnTerminal bool) <-chan JobEvent {
 	out := make(chan JobEvent, 32)
 	go func() {
 		defer close(out)
@@ -539,7 +494,7 @@ func bridge(ctx context.Context, inner <-chan JobEvent, cancel func(), endOnTerm
 				case <-ctx.Done():
 					return
 				}
-				if ev.Terminal() && endOnTerminal {
+				if ev.Terminal() {
 					return
 				}
 			case <-ctx.Done():

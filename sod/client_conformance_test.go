@@ -615,7 +615,9 @@ func TestConformanceChainedSubmitAndEvents(t *testing.T) {
 
 // TestConformanceConcurrentWatchesOfOneJob: both implementations must
 // serve any number of simultaneous watchers of the same job the full
-// stream — the drift this suite exists to prevent.
+// stream — the drift this suite exists to prevent. Over a daemon the
+// first Watch takes the stream the Submit opened and the others ask the
+// daemon for their own, so both kinds must carry the whole story.
 func TestConformanceConcurrentWatchesOfOneJob(t *testing.T) {
 	withClients(t, func(t *testing.T, f confFixture) {
 		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
@@ -655,6 +657,128 @@ func TestConformanceConcurrentWatchesOfOneJob(t *testing.T) {
 				events[len(events)-1].Kind != sod.JobCompleted {
 				t.Errorf("watcher %d: malformed stream %+v", i, events)
 			}
+		}
+	})
+}
+
+// TestConformanceWatchAfterFinish: a Watch opened by the submitting
+// client after its job finished replays the whole story — started first,
+// completed last — with exactly one of each. Over a daemon this Watch
+// takes the stream the Submit opened, which had already run to its
+// terminal with nobody attached.
+func TestConformanceWatchAfterFinish(t *testing.T) {
+	withClients(t, func(t *testing.T, f confFixture) {
+		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
+		defer cancel()
+		h, err := f.client.Submit(ctx, "main", sod.Int(14), sod.Int(10_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !h.Done() {
+			if ctx.Err() != nil {
+				t.Fatal("job never finished")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		ch, err := f.client.Watch(ctx, h.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []sod.JobEvent
+		for ev := range ch {
+			events = append(events, ev)
+		}
+		if ctx.Err() != nil {
+			t.Fatal("replayed stream never ended")
+		}
+		started, completed := 0, 0
+		for _, ev := range events {
+			switch ev.Kind {
+			case sod.JobStarted:
+				started++
+			case sod.JobCompleted:
+				completed++
+			}
+		}
+		if started != 1 || completed != 1 || events[0].Kind != sod.JobStarted ||
+			events[len(events)-1].Kind != sod.JobCompleted {
+			t.Fatalf("replayed stream %+v: want one started first and one completed last", events)
+		}
+		want := workloads.CruncherExpected(14, 10_000)
+		if got := events[len(events)-1].Result; got != want {
+			t.Errorf("terminal carried %d, want %d", got, want)
+		}
+		if res, err := h.Wait(ctx); err != nil || res.I != want {
+			t.Errorf("Wait = %v, %v; want %d", res.I, err, want)
+		}
+	})
+}
+
+// TestConformanceWaitAfterCancelledWatch: cancelling the submitting
+// client's Watch before the job's terminal leaves Wait intact. Over a
+// daemon the cancelled Watch had taken the Submit's stream, so Wait
+// cannot resolve from it and must ask the daemon instead.
+func TestConformanceWaitAfterCancelledWatch(t *testing.T) {
+	withClients(t, func(t *testing.T, f confFixture) {
+		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
+		defer cancel()
+		const iters = 2_000_000
+		h, err := f.client.Submit(ctx, "main", sod.Int(15), sod.Int(iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wctx, wcancel := context.WithCancel(ctx)
+		ch, err := f.client.Watch(wctx, h.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev := <-ch; ev.Kind != sod.JobStarted {
+			t.Fatalf("first event %+v, want started", ev)
+		}
+		wcancel()
+		for ev := range ch {
+			if ev.Terminal() {
+				t.Logf("the job finished before the cancel landed")
+			}
+		}
+		res, err := h.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := workloads.CruncherExpected(15, iters); res.I != want {
+			t.Errorf("result %d, want %d", res.I, want)
+		}
+	})
+}
+
+// TestConformanceFailedSubmit: a Submit naming an unknown method fails
+// on both surfaces, and the client carries on: the next job submits,
+// streams and completes normally.
+func TestConformanceFailedSubmit(t *testing.T) {
+	withClients(t, func(t *testing.T, f confFixture) {
+		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
+		defer cancel()
+		if _, err := f.client.Submit(ctx, "no_such_method", sod.Int(1)); err == nil {
+			t.Fatal("submitting an unknown method should fail")
+		}
+		h, err := f.client.Submit(ctx, "main", sod.Int(16), sod.Int(10_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := f.client.Watch(ctx, h.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last sod.JobEvent
+		for ev := range ch {
+			last = ev
+		}
+		want := workloads.CruncherExpected(16, 10_000)
+		if last.Kind != sod.JobCompleted || last.Result != want {
+			t.Fatalf("stream ended with %+v, want completion with %d", last, want)
+		}
+		if res, err := h.Wait(ctx); err != nil || res.I != want {
+			t.Errorf("Wait = %v, %v; want %d", res.I, err, want)
 		}
 	})
 }
