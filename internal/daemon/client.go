@@ -289,10 +289,7 @@ func (c *Client) submit(ctx context.Context, op byte, method string, args ...int
 			return &Job{c: c, id: id, s: s}, nil
 		}
 	}
-	if c.endWatch(s.gen) && ctx.Err() != nil {
-		// Abandoned mid-call: the daemon may have opened the stream.
-		c.unwatch(s.gen)
-	}
+	c.abandon(ctx, s.gen)
 	return nil, err
 }
 
@@ -490,15 +487,23 @@ func (c *Client) WatchAll(ctx context.Context) (<-chan sodee.JobEvent, func(), e
 // openStream sends req, the request that starts stream w at the daemon,
 // and ties the stream's life to ctx.
 func (c *Client) openStream(ctx context.Context, w *clientWatch, req []byte) (<-chan sodee.JobEvent, func(), error) {
-	cancel := c.cancelFunc(w.gen)
 	if _, err := c.call(ctx, req); err != nil {
-		cancel()
+		c.abandon(ctx, w.gen)
 		return nil, nil, err
 	}
 	c.mu.Lock()
 	c.bindLocked(ctx, w)
 	c.mu.Unlock()
-	return w.ch, cancel, nil
+	return w.ch, c.cancelFunc(w.gen), nil
+}
+
+// abandon ends stream gen after the request that was to open it failed.
+// The daemon opened nothing if it answered with an error; if ctx ended
+// first it may have, so it is told to stop.
+func (c *Client) abandon(ctx context.Context, gen uint64) {
+	if c.endWatch(gen) && ctx.Err() != nil {
+		c.unwatch(gen)
+	}
 }
 
 // bindLocked ends stream w when ctx ends, unless it already has; the
