@@ -442,8 +442,12 @@ func (c *Client) newWatchLocked(all bool) *clientWatch {
 // any number of times concurrently; every subscription gets the full
 // stream. The first Watch of a job submitted through this client takes
 // the stream its Submit opened, with no request; any other Watch sends
-// opWatch.
+// opWatch. A Watch whose ctx has already ended fails with ctx's error and
+// leaves a held stream held.
 func (c *Client) Watch(ctx context.Context, job uint64) (<-chan sodee.JobEvent, func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	c.mu.Lock()
 	// A held stream that ended without its terminal cannot replay the
 	// job's story; opWatch can.
@@ -471,8 +475,11 @@ func (c *Client) Watch(ctx context.Context, job uint64) (<-chan sodee.JobEvent, 
 // for not keeping up (the backpressure contract: non-terminal events may
 // be coalesced behind EvLagged markers; a consumer too slow to keep even
 // job outcomes is cut off rather than allowed to stall the cluster's
-// buses).
+// buses). Like Watch, it fails at once if ctx has already ended.
 func (c *Client) WatchAll(ctx context.Context) (<-chan sodee.JobEvent, func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	c.mu.Lock()
 	w := c.newWatchLocked(true)
 	// The daemon's hub buffers as much per subscriber (sodee's fanRingCap).
@@ -499,7 +506,9 @@ func (c *Client) openStream(ctx context.Context, w *clientWatch, req []byte) (<-
 
 // abandon ends stream gen after the request that was to open it failed.
 // The daemon opened nothing if it answered with an error; if ctx ended
-// first it may have, so it is told to stop.
+// first it may have, so it is told to stop. The daemon handles frames
+// concurrently, so that unwatch can land before the stream opens;
+// handleControl repeats it on the stream's first frame.
 func (c *Client) abandon(ctx context.Context, gen uint64) {
 	if c.endWatch(gen) && ctx.Err() != nil {
 		c.unwatch(gen)
@@ -573,7 +582,8 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.mu.Lock()
-		if w := c.watches[gen]; w != nil {
+		w := c.watches[gen]
+		if w != nil {
 			if streamSeq != w.next {
 				if w.pending == nil {
 					w.pending = make(map[uint64]sodee.JobEvent)
@@ -584,6 +594,15 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 			}
 		}
 		c.mu.Unlock()
+		if w == nil && streamSeq == 0 {
+			// A stream this client has already ended. If its opening
+			// request was abandoned, the unwatch sent then may have reached
+			// the daemon before the stream opened there, leaving it
+			// streaming to nobody; the stream's first frame says it is
+			// open, so say it again. Generations are never reused, so this
+			// cannot end a live stream.
+			c.unwatch(gen)
+		}
 		return nil, nil
 	case opEventEnd:
 		r := wire.NewReader(payload[1:])

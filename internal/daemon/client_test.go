@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sodee"
 	"repro/internal/wire"
 	"repro/internal/workloads"
@@ -42,36 +43,56 @@ func TestDialDeadDaemonFailsFast(t *testing.T) {
 
 // TestDaemonDiesMidWait: a daemon stopping with a client blocked in
 // WaitContext must fail the wait promptly with a transport error — not
-// leave it hanging and not fabricate a result.
+// leave it hanging and not fabricate a result. The same holds for a
+// submitted job's Wait, which blocks on the stream its Submit opened.
 func TestDaemonDiesMidWait(t *testing.T) {
-	d := bootOne(t, 1)
-	ctl, err := Dial(d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	job, err := ctl.Submit(context.Background(), "main", 5, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		errMsg string
-		err    error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		_, errMsg, err := job.Wait(context.Background())
-		got <- outcome{errMsg, err}
-	}()
-	time.Sleep(100 * time.Millisecond)
-	d.Stop()
-	select {
-	case o := <-got:
-		if o.err == nil {
-			t.Fatalf("wait across a daemon death returned success (errMsg=%q)", o.errMsg)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("wait never returned after the daemon died")
+	for _, tc := range []struct {
+		name string
+		wait func(*Client, *Job) (errMsg string, err error)
+	}{
+		// An opWait long-poll is in flight when the daemon dies.
+		{"WaitContext", func(ctl *Client, job *Job) (string, error) {
+			_, errMsg, err := ctl.WaitContext(context.Background(), job.ID())
+			return errMsg, err
+		}},
+		// The held stream ends without a terminal; the fallback opWait
+		// then meets a dead connection.
+		{"JobWait", func(_ *Client, job *Job) (string, error) {
+			_, errMsg, err := job.Wait(context.Background())
+			return errMsg, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := bootOne(t, 1)
+			ctl, err := Dial(d.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Close()
+			job, err := ctl.Submit(context.Background(), "main", 5, 10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type outcome struct {
+				errMsg string
+				err    error
+			}
+			got := make(chan outcome, 1)
+			go func() {
+				errMsg, err := tc.wait(ctl, job)
+				got <- outcome{errMsg, err}
+			}()
+			time.Sleep(100 * time.Millisecond)
+			d.Stop()
+			select {
+			case o := <-got:
+				if o.err == nil {
+					t.Fatalf("wait across a daemon death returned success (errMsg=%q)", o.errMsg)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("wait never returned after the daemon died")
+			}
+		})
 	}
 }
 
@@ -420,5 +441,66 @@ func TestHeldStreamsBounded(t *testing.T) {
 	defer cancel()
 	if res, errMsg, err := first.Wait(wctx); err != nil || errMsg != "" || res != workloads.CruncherExpected(0, 10) {
 		t.Fatalf("wait on the first job = %d, %q, %v; want %d", res, errMsg, err, workloads.CruncherExpected(0, 10))
+	}
+}
+
+// TestAbandonedOpenIsUnwatched: a stream whose opening request the client
+// abandoned (its ctx ended before the reply) must not go on streaming to
+// nobody. The daemon handles each frame on its own goroutine, so the
+// client's unwatch can run before the open registers the stream; here
+// that order is forced for a WatchAll, and the orphan must still drain
+// once it carries an event.
+func TestAbandonedOpenIsUnwatched(t *testing.T) {
+	d := bootOne(t, 1)
+	ctl, err := Dial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ctl.mu.Lock()
+	gen := ctl.newWatchLocked(true).gen
+	ctl.mu.Unlock()
+	gone, kill := context.WithCancel(context.Background())
+	kill()
+	ctl.abandon(gone, gen)
+
+	unwatches := func() int64 {
+		return d.Node().Obs.Snapshot().Counters[obs.Label("sod_control_requests_total", "op", "unwatch")]
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for unwatches() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoning unwatch never reached the daemon")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let handleUnwatch finish
+	req := wire.NewWriter(12)
+	req.Byte(opWatchAll)
+	req.Uvarint(gen)
+	if _, err := ctl.call(context.Background(), req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	open := func() bool {
+		d.watchMu.Lock()
+		defer d.watchMu.Unlock()
+		for key := range d.watches {
+			if key.gen == gen {
+				return true
+			}
+		}
+		return false
+	}
+	if !open() {
+		t.Fatal("the WatchAll did not open after its unwatch; the race was not reproduced")
+	}
+	if _, err := ctl.Run(context.Background(), "main", 3, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	for open() {
+		if time.Now().After(deadline) {
+			t.Fatal("the orphaned WatchAll stream is still registered at the daemon")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1174,10 +1174,7 @@ func (d *Daemon) streamEvents(key watchKey, entry *watchEntry, ch <-chan sodee.J
 		}
 		d.watchMu.Unlock()
 		if !sentTerminal {
-			w := wire.NewWriter(12)
-			w.Byte(opEventEnd)
-			w.Uvarint(key.gen)
-			d.tr.Send(key.peer, netsim.KindControl, w.Bytes()) //nolint:errcheck // stream is over either way
+			d.sendEventEnd(key.peer, key.gen)
 		}
 	}()
 	// Frames carry a per-stream sequence number: one-way transport frames

@@ -56,7 +56,8 @@ type Client interface {
 	// cluster is lost. Over a daemon, Submit already opened the job's
 	// stream: the first Watch of a job from the client that submitted it
 	// takes that stream and costs no round trip; any other Watch asks
-	// the daemon for a stream of its own.
+	// the daemon for a stream of its own. A Watch or WatchAll whose ctx
+	// has already ended fails with ctx's error.
 	Watch(ctx context.Context, jobID uint64) (<-chan JobEvent, error)
 	// WatchAll streams every job event from every node in the cluster
 	// through one subscription — the feed behind dashboards and sodctl
@@ -268,6 +269,9 @@ func (cc *clusterClient) Stats(ctx context.Context) (ClusterStats, error) {
 }
 
 func (cc *clusterClient) Watch(ctx context.Context, jobID uint64) (<-chan JobEvent, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	inner, cancel, ok := cc.n.Mgr.Events().Subscribe(jobID)
 	if !ok {
 		return nil, fmt.Errorf("sod: no job %d", jobID)

@@ -714,6 +714,50 @@ func TestConformanceWatchAfterFinish(t *testing.T) {
 	})
 }
 
+// TestConformanceWatchEndedContext: Watch and WatchAll called with a
+// context that has already ended fail with the context's error on both
+// surfaces — over a daemon whether or not the submitting client holds
+// the job's stream — and a later Watch of the job still gets its whole
+// story.
+func TestConformanceWatchEndedContext(t *testing.T) {
+	withClients(t, func(t *testing.T, f confFixture) {
+		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
+		defer cancel()
+		h, err := f.client.Submit(ctx, "main", sod.Int(17), sod.Int(10_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, kill := context.WithCancel(ctx)
+		kill()
+		// The first Watch would take the held stream; the second would
+		// send opWatch.
+		for i := 0; i < 2; i++ {
+			if ch, err := f.client.Watch(dead, h.ID()); !errors.Is(err, context.Canceled) || ch != nil {
+				t.Fatalf("Watch %d with an ended ctx = %v, %v; want context.Canceled", i, ch, err)
+			}
+		}
+		if ch, err := f.client.WatchAll(dead); !errors.Is(err, context.Canceled) || ch != nil {
+			t.Fatalf("WatchAll with an ended ctx = %v, %v; want context.Canceled", ch, err)
+		}
+		ch, err := f.client.Watch(ctx, h.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []sod.JobEvent
+		for ev := range ch {
+			events = append(events, ev)
+		}
+		want := workloads.CruncherExpected(17, 10_000)
+		if len(events) < 2 || events[0].Kind != sod.JobStarted ||
+			events[len(events)-1].Kind != sod.JobCompleted || events[len(events)-1].Result != want {
+			t.Fatalf("stream %+v: want started first and completion with %d last", events, want)
+		}
+		if res, err := h.Wait(ctx); err != nil || res.I != want {
+			t.Errorf("Wait = %v, %v; want %d", res.I, err, want)
+		}
+	})
+}
+
 // TestConformanceWaitAfterCancelledWatch: cancelling the submitting
 // client's Watch before the job's terminal leaves Wait intact. Over a
 // daemon the cancelled Watch had taken the Submit's stream, so Wait
