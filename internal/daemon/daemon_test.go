@@ -416,3 +416,82 @@ func TestStealOnlyClusterSplitsStatsByDirection(t *testing.T) {
 		t.Error("thieves executed nothing")
 	}
 }
+
+// TestOriginOnlyJobSendsNoRehomeTCP is the daemon-level twin of
+// sodee.TestOriginOnlyJobSendsNoRehome: jobs submitted through the
+// control plane and finished at their origin replicate nothing to the
+// successor over TCP, while a job migrated off the origin is replicated
+// once.
+func TestOriginOnlyJobSendsNoRehomeTCP(t *testing.T) {
+	mk := func(id int) *Daemon {
+		d, err := New(Config{ID: id, Policy: "none", Interval: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("boot daemon %d: %v", id, err)
+		}
+		t.Cleanup(d.Stop)
+		return d
+	}
+	d1, d2 := mk(1), mk(2)
+	if err := d2.Join(d1.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitMembers(t, d1, 2) // node 2 is node 1's successor from here on
+	ctl, err := Dial(d1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	replicated := func() int64 { return d1.Node().Obs.Snapshot().Counters["sod_rehome_replicated_total"] }
+
+	var ids []uint64
+	for seed := int64(1); seed <= 5; seed++ {
+		j, err := ctl.Submit(ctx, "main", seed, 1_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, msg, err := j.Wait(ctx); err != nil || msg != "" {
+			t.Fatalf("job %d: %v %s", j.ID(), err, msg)
+		}
+		ids = append(ids, j.ID())
+	}
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if r := replicated(); r != 0 {
+			t.Fatalf("origin-only jobs counted %d replicates at the origin", r)
+		}
+	}
+	snap := d2.Node().Obs.Snapshot()
+	if n := snap.Counters["sod_rehome_discarded_total"]; n != 0 {
+		t.Errorf("successor discharged %d shadows of origin-only jobs", n)
+	}
+	if g := snap.Gauges["sod_jobs_retained"]; g != 0 {
+		t.Errorf("successor retains %d jobs, want 0", g)
+	}
+	for _, id := range ids {
+		if d2.Node().Mgr.Events().Known(id) {
+			t.Errorf("successor knows origin-only job %d", id)
+		}
+	}
+
+	j, err := ctl.Submit(ctx, "main", 9, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, ok := d1.Node().Mgr.Job(j.ID())
+	if !ok {
+		t.Fatalf("origin lost job %d", j.ID())
+	}
+	if _, err := d1.Node().Mgr.MigrateSOD(job, sodee.SODOptions{NFrames: sodee.WholeStack, Dest: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := j.Wait(ctx); err != nil || res != workloads.CruncherExpected(9, 200_000) {
+		t.Fatalf("migrated job: result %d, %v", res, err)
+	}
+	if r := replicated(); r != 1 {
+		t.Errorf("migrated job: %d replicates counted, want 1", r)
+	}
+	if !d2.Node().Mgr.Events().Known(j.ID()) {
+		t.Errorf("successor does not know migrated job %d", j.ID())
+	}
+}

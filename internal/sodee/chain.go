@@ -221,7 +221,9 @@ func (m *Manager) MigrateChain(job *Job, planFn ChainPlanFunc, reason MigrateRea
 	// finalTo: the chain's terminal consumer — the local job handle, or a
 	// migrated-in job's origin. eventTo is the chain's event identity:
 	// the origin bus and job id every link publishes under (for a
-	// re-chained link, that differs from where its result flows).
+	// re-chained link, that differs from where its result flows). A
+	// home-grown job's plan carries no re-homing fallback, so a chain
+	// departure installs no origin shadow either (unlike MigrateSOD).
 	finalTo := completion{node: n.ID, token: job.ID}
 	var finalFB completion
 	job.mu.Lock()

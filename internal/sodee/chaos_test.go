@@ -485,13 +485,14 @@ func TestSwarmChaosWatchedCrash(t *testing.T) {
 }
 
 // TestChaosOriginPermanentDeath is the origin re-homing chaos scenario:
-// every job in a 120-job burst originates at node 1, is watched from its
-// successor (node 2), migrates off the origin, and then the origin dies
-// permanently — no rejoin, ever. The executing nodes' result flushes give
-// up on the origin and redirect to the successor's shadows, which must
-// deliver every result exactly once: each watch stream ends with exactly
-// one terminal event, nothing after it, and at most one EvLagged marker
-// standing in for the events that died with the origin.
+// every job in a 120-job burst originates at node 1, migrates off the
+// origin (which replicates it to its successor, node 2), is watched from
+// that successor, and then the origin dies permanently — no rejoin, ever.
+// The executing nodes' result flushes give up on the origin and redirect
+// to the successor's shadows, which must deliver every result exactly
+// once: each watch stream ends with exactly one terminal event, nothing
+// after it, and at most one EvLagged marker standing in for the events
+// that died with the origin.
 func TestChaosOriginPermanentDeath(t *testing.T) {
 	const jobsN = 120
 	iters := int64(150_000)
@@ -529,10 +530,44 @@ func TestChaosOriginPermanentDeath(t *testing.T) {
 				jobs[i] = j
 			}
 
-			// Origin replication is asynchronous (one link round-trip
-			// behind StartJob); wait for every shadow before watching.
 			succ := c.Nodes[2]
 			waitUntil := time.Now().Add(30 * time.Second)
+
+			// Evacuate the origin: every job migrates off node 1, whole
+			// stack, each on its own goroutine — MigrateSOD suspends the
+			// thread at its next safepoint, and parked threads release
+			// their core slot, so the suspends overlap instead of queuing
+			// behind each other's quanta. A job that completes at the
+			// origin before its migration lands is fine: its discharge
+			// wakes the shadow, and the settled gate below waits for it.
+			var migrated atomic.Int64
+			var evacWG sync.WaitGroup
+			for i, j := range jobs {
+				evacWG.Add(1)
+				go func(j *sodee.Job, dest int) {
+					defer evacWG.Done()
+					for !j.Done() {
+						if time.Now().After(waitUntil) {
+							t.Errorf("job %d never evacuated", j.ID)
+							return
+						}
+						_, merr := c.Nodes[1].Mgr.MigrateSOD(j, sodee.SODOptions{
+							NFrames: sodee.WholeStack, Dest: dest,
+						})
+						if merr == nil {
+							migrated.Add(1)
+							return
+						}
+						time.Sleep(2 * time.Millisecond)
+					}
+				}(j, 2+i%2)
+			}
+			evacWG.Wait()
+
+			// A job is replicated to its successor when it first leaves the
+			// origin: every evacuation attempt started one, but one that
+			// found the job already finished did not wait for it. Wait for
+			// every shadow before watching.
 			for _, j := range jobs {
 				for !succ.Mgr.Events().Known(j.ID) {
 					if time.Now().After(waitUntil) {
@@ -542,8 +577,10 @@ func TestChaosOriginPermanentDeath(t *testing.T) {
 				}
 			}
 
-			// Watchers attach at the successor, parked on the shadows,
-			// before the origin dies.
+			// Watchers attach at the successor after the evacuation and
+			// before the origin dies: parked on the shadows of jobs still
+			// running, replaying the discharged terminal of jobs that
+			// finished at the origin.
 			type watchVerdict struct {
 				terminals int
 				afterTerm int
@@ -587,37 +624,6 @@ func TestChaosOriginPermanentDeath(t *testing.T) {
 					}
 				}(i, ch, cancel)
 			}
-
-			// Evacuate the origin: every job migrates off node 1, whole
-			// stack, each on its own goroutine — MigrateSOD suspends the
-			// thread at its next safepoint, and parked threads release
-			// their core slot, so the suspends overlap instead of queuing
-			// behind each other's quanta. A job that completes at the
-			// origin before its migration lands is fine: its discharge
-			// wakes the shadow, and the settled gate below waits for it.
-			var migrated atomic.Int64
-			var evacWG sync.WaitGroup
-			for i, j := range jobs {
-				evacWG.Add(1)
-				go func(j *sodee.Job, dest int) {
-					defer evacWG.Done()
-					for !j.Done() {
-						if time.Now().After(waitUntil) {
-							t.Errorf("job %d never evacuated", j.ID)
-							return
-						}
-						_, merr := c.Nodes[1].Mgr.MigrateSOD(j, sodee.SODOptions{
-							NFrames: sodee.WholeStack, Dest: dest,
-						})
-						if merr == nil {
-							migrated.Add(1)
-							return
-						}
-						time.Sleep(2 * time.Millisecond)
-					}
-				}(j, 2+i%2)
-			}
-			evacWG.Wait()
 
 			// Let the evacuation drain the origin, then kill it for good.
 			// "Drained" means no job is resident anymore AND no discharge

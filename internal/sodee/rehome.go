@@ -12,10 +12,13 @@ import (
 // Origin re-homing: a job's origin node is its single point of truth — the
 // waiter registration, the result-flush target, and the event stream all
 // live there. The paper's elastic offload model assumes the origin outlives
-// its jobs; a production cluster cannot. So every submitted job replicates
-// a minimal origin shadow to a deterministic successor (the next alive node
-// on the id ring): a parked Job handle, a flush route under the job's own
-// id, and a shadow event stream registered at the successor's bus.
+// its jobs; a production cluster cannot. So when a job's stack first leaves
+// its origin, the origin replicates a minimal origin shadow to a
+// deterministic successor (the next alive node on the id ring): a parked
+// Job handle, a flush route under the job's own id, and a shadow event
+// stream registered at the successor's bus. A job that never leaves its
+// origin is never replicated: it dies with the origin anyway, so a shadow
+// could never deliver it.
 //
 // The shadow is dormant while the origin lives. Two things can wake it:
 //
@@ -27,7 +30,7 @@ import (
 //
 //   - The origin dies permanently. The executing node's result flush gives
 //     up on the origin after the short fallback window and redirects to
-//     the successor (the PR 5 recovery-route machinery: the fallback
+//     the successor (the chain-recovery fallback machinery: the fallback
 //     completion travels with the stack). The redirected flush hits the
 //     shadow route, publishes EvResultFlushed into the successor's bus —
 //     promoting parked subscribers with exactly one EvLagged — and
@@ -64,15 +67,35 @@ func (m *Manager) successorCandidates() []int {
 	return append(alive[split:], alive[:split]...)
 }
 
+// replicateOnce starts the origin-shadow replication of a home-grown job
+// at its first departure and returns a channel closed once the replicate
+// call has returned; a later departure gets the same channel. Migrated-in
+// wrappers get nil: their fallback arrived with the stack.
+func (m *Manager) replicateOnce(job *Job) <-chan struct{} {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.remote {
+		return nil
+	}
+	if job.replicated == nil {
+		done := make(chan struct{})
+		job.replicated = done
+		go func() {
+			m.replicateOrigin(job)
+			close(done)
+		}()
+	}
+	return job.replicated
+}
+
 // replicateOrigin installs the job's origin shadow at its successor. It
-// runs off the submit path (startJob spawns it): the replicate RPC pays
-// real wire latency, and a submit burst serialized behind it would change
-// the very load profile the balancer is supposed to see. The window is
-// one link round-trip — far under any failure-detection timeout — and a
-// watcher that races it at the successor sees "unknown job", exactly what
-// any non-successor node would say. With no reachable successor the job
-// simply runs un-replicated, exactly as every job did before re-homing
-// existed.
+// runs off the freeze window (replicateOnce spawns it before the thread is
+// suspended): the replicate RPC pays real wire latency, and the balancer
+// pushes a tick's jobs one after another, so a call serialized ahead of
+// each capture would stretch every push behind it. A watcher that races it
+// at the successor sees "unknown job", exactly what any non-successor node
+// would say. With no reachable successor the job leaves un-replicated:
+// its hop carries no fallback.
 func (m *Manager) replicateOrigin(job *Job) {
 	w := wire.NewWriter(16)
 	w.Byte(rehomeReplicate)

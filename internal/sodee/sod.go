@@ -112,6 +112,12 @@ type Job struct {
 	// stream already terminated at the origin's bus.
 	shadowOf int
 	quiet    bool
+
+	// replicated is set (guarded by mu) when a home-grown job first leaves
+	// its origin and closed once its origin shadow replication returned
+	// (replicateOnce in rehome.go). nil: the job never left, so no
+	// successor knows it.
+	replicated chan struct{}
 }
 
 // Thread returns the job's current local thread (nil once fully migrated).
@@ -680,11 +686,9 @@ func (m *Manager) startJob(qualifiedMethod string, chained bool, args ...value.V
 		Name: "job", Start: job.started,
 	})
 	m.bus.Publish(JobEvent{Job: job.ID, Kind: EvStarted, From: m.node.ID, To: m.node.ID})
-	// Replicate the origin to its successor: should this node die
-	// permanently, the successor adopts the waiter and the result flush
-	// redirects there (rehome.go). Off the submit path — see
-	// replicateOrigin for why it must not serialize a burst.
-	go m.replicateOrigin(job)
+	// No successor learns the job here: a job that never leaves this node
+	// dies with it anyway, so its origin shadow is replicated only when
+	// the stack first departs (MigrateSOD, rehome.go).
 	go m.runAndWatch(th, job)
 	return job, nil
 }
@@ -1242,6 +1246,10 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	if n.Agent == nil {
 		return nil, fmt.Errorf("sodee: node %d has no tool interface to capture state", n.ID)
 	}
+	// A home-grown job's first departure replicates its origin shadow.
+	// The call overlaps the suspend and capture below and is joined only
+	// where the hop reads the re-homing fallback.
+	replicated := m.replicateOnce(job)
 	t0 := time.Now()
 	parked, err := n.Agent.SuspendAtSafePoint(th)
 	if err != nil {
@@ -1379,9 +1387,13 @@ func (m *Manager) MigrateSOD(job *Job, opts SODOptions) (*MigrationMetrics, erro
 	// link ends up, an unreachable next link still reroutes to the chain's
 	// origin. A home-grown job's re-homing fallback travels the same way:
 	// wherever the stack lands, an unreachable (dead) origin redirects the
-	// result to the job's successor. Partial exports carry none — their
+	// result to the job's successor; joining the replication here is what
+	// makes the first hop carry it too. Partial exports carry none — their
 	// value returns to the residual parked on this node, not to a consumer
 	// that could outlive it.
+	if resultTo == finalTo && replicated != nil {
+		<-replicated
+	}
 	var fallback completion
 	job.mu.Lock()
 	if resultTo == finalTo {

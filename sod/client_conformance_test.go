@@ -1160,16 +1160,16 @@ func TestConformanceTrace(t *testing.T) {
 
 // TestConformanceRehomedWatch pins the origin re-homing contract on both
 // client surfaces: a Wait and a Watch attached through the origin's
-// successor BEFORE the origin dies permanently must still complete — the
-// executing nodes' result flushes redirect to the successor's shadow —
-// with the terminal event's Origin re-stamped to the successor, exactly
-// one terminal per stream, and at most one EvLagged marker standing in
-// for the stream that died with the origin. The successor is discovered
-// per job (the next peer the origin saw alive at submit time), not
-// assumed: a momentary suspicion can route one job's shadow to the other
-// survivor. The in-process fixture cuts the origin's network for good;
-// the daemon fixture stops the origin daemon process — a crash, no
-// goodbye.
+// successor after the job first left its origin and BEFORE the origin
+// dies permanently must still complete — the executing nodes' result
+// flushes redirect to the successor's shadow — with the terminal event's
+// Origin re-stamped to the successor, exactly one terminal per stream,
+// and at most one EvLagged marker standing in for the stream that died
+// with the origin. The successor is discovered per job (the next peer
+// the origin saw alive at the job's first departure), not assumed: a
+// momentary suspicion can route one job's shadow to the other survivor.
+// The in-process fixture cuts the origin's network for good; the daemon
+// fixture stops the origin daemon process — a crash, no goodbye.
 func TestConformanceRehomedWatch(t *testing.T) {
 	// Long enough that the whole burst is still executing when the origin
 	// is killed: the kill then catches every result flush still ahead,
@@ -1183,60 +1183,18 @@ func TestConformanceRehomedWatch(t *testing.T) {
 		mgr    *sodee.Manager
 	}
 
-	// run drives the surface-independent scenario: discover each job's
-	// successor, attach Wait and Watch through it, evacuate the origin
-	// (parallel whole-stack migrations), wait for it to settle, kill it,
-	// then require every wait and every stream to deliver the re-stamped
-	// terminal exactly once. "Settled" means no job is resident at the
-	// origin AND no discharge is outstanding: a job that completed while
-	// the origin lived must have woken its shadow before the axe falls —
-	// its flush already succeeded, so no redirect will ever come for it.
+	// run drives the surface-independent scenario: evacuate the origin
+	// (parallel whole-stack migrations), discover each job's successor,
+	// attach Wait and Watch through it, wait for the origin to settle,
+	// kill it, then require every wait and every stream to deliver the
+	// re-stamped terminal exactly once. "Settled" means no job is resident
+	// at the origin AND no discharge is outstanding: a job that completed
+	// while the origin lived must have woken its shadow before the axe
+	// falls — its flush already succeeded, so no redirect will ever come
+	// for it.
 	run := func(t *testing.T, ids []uint64, origin *sodee.Manager, survivors map[int]port, kill func()) {
 		ctx, cancel := context.WithTimeout(context.Background(), confTimeout)
 		defer cancel()
-
-		// Origin replication is one async link round-trip behind Submit;
-		// each job's shadow surfaces as Known at exactly one survivor.
-		succOf := make([]int, len(ids))
-		deadline := time.Now().Add(20 * time.Second)
-		for i, id := range ids {
-			for succOf[i] == 0 {
-				for node, p := range survivors {
-					if p.mgr.Events().Known(id) {
-						succOf[i] = node
-						break
-					}
-				}
-				if succOf[i] == 0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("job %d never replicated to a successor", id)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}
-
-		streams := make([]<-chan sod.JobEvent, len(ids))
-		waitRes := make([]sod.Value, len(ids))
-		waitErr := make([]error, len(ids))
-		var waits sync.WaitGroup
-		for i, id := range ids {
-			succ := survivors[succOf[i]].client
-			ch, err := succ.Watch(ctx, id)
-			if err != nil {
-				t.Fatalf("watch %d at successor %d: %v", id, succOf[i], err)
-			}
-			streams[i] = ch
-			h, err := succ.Job(id)
-			if err != nil {
-				t.Fatalf("job %d lookup at successor %d: %v", id, succOf[i], err)
-			}
-			waits.Add(1)
-			go func(i int, h sod.JobHandle) {
-				defer waits.Done()
-				waitRes[i], waitErr[i] = h.Wait(ctx)
-			}(i, h)
-		}
 
 		var evac sync.WaitGroup
 		for i, id := range ids {
@@ -1259,6 +1217,62 @@ func TestConformanceRehomedWatch(t *testing.T) {
 			}(id, 2+i%2)
 		}
 		evac.Wait()
+		// Each evacuation attempt started the job's origin replication,
+		// but one that found the job already finished did not wait for
+		// it; each job's shadow surfaces as Known at exactly one survivor.
+		succOf := make([]int, len(ids))
+		deadline := time.Now().Add(20 * time.Second)
+		for i, id := range ids {
+			for succOf[i] == 0 {
+				for node, p := range survivors {
+					if p.mgr.Events().Known(id) {
+						succOf[i] = node
+						break
+					}
+				}
+				if succOf[i] == 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("job %d never replicated to a successor", id)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+
+		streams := make([]<-chan sod.JobEvent, len(ids))
+		waitRes := make([]sod.Value, len(ids))
+		waitErr := make([]error, len(ids))
+		// Every job's Watch and Wait attach at once: each is a control
+		// round trip to a successor already busy running evacuated jobs,
+		// and made one after another they can outlast the shortest job,
+		// whose result then reaches the living origin instead of taking
+		// the re-homed path.
+		var attached, waits sync.WaitGroup
+		for i, id := range ids {
+			attached.Add(1)
+			waits.Add(1)
+			go func(i int, id uint64) {
+				defer waits.Done()
+				succ := survivors[succOf[i]].client
+				ch, err := succ.Watch(ctx, id)
+				var h sod.JobHandle
+				if err == nil {
+					h, err = succ.Job(id)
+				}
+				streams[i] = ch
+				attached.Done()
+				if err != nil {
+					t.Errorf("attach to job %d at successor %d: %v", id, succOf[i], err)
+					return
+				}
+				waitRes[i], waitErr[i] = h.Wait(ctx)
+			}(i, id)
+		}
+		attached.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+
 		settleBy := time.Now().Add(20 * time.Second)
 		for {
 			if time.Now().After(settleBy) {
