@@ -60,13 +60,10 @@ type clientWatch struct {
 	buf    []sodee.JobEvent
 	closed bool
 	// all marks a WatchAll stream: terminal events pass through without
-	// ending it (the stream spans every job in the cluster).
+	// ending it (the stream spans every job in the cluster). Events need
+	// no reordering: the transport hands the daemon's one-way frames
+	// over in the order they were sent.
 	all bool
-	// The daemon numbers a stream's frames, but one-way frames are
-	// handled concurrently by the transport; pending holds early arrivals
-	// until their predecessors land so events deliver in stream order.
-	next    uint64
-	pending map[uint64]sodee.JobEvent
 	// ended (Submit streams only) closes when the stream ends, for any
 	// reason; term is its terminal event if one arrived. Both are set
 	// under Client.mu before ended closes.
@@ -76,7 +73,7 @@ type clientWatch struct {
 	stopCtx func() bool
 }
 
-// push queues one in-order event for the consumer without blocking.
+// push queues one event for the consumer without blocking.
 // A full queue drops the event — unless it is the terminal, which
 // carries the job's outcome and evicts the oldest queued event instead.
 func (w *clientWatch) push(ev sodee.JobEvent) {
@@ -506,9 +503,10 @@ func (c *Client) openStream(ctx context.Context, w *clientWatch, req []byte) (<-
 
 // abandon ends stream gen after the request that was to open it failed.
 // The daemon opened nothing if it answered with an error; if ctx ended
-// first it may have, so it is told to stop. The daemon handles frames
-// concurrently, so that unwatch can land before the stream opens;
-// handleControl repeats it on the stream's first frame.
+// first it may have, so it is told to stop. The daemon handles that
+// one-way unwatch concurrently with the opening request, so it can land
+// before the stream opens; handleControl repeats it for each frame the
+// orphan sends.
 func (c *Client) abandon(ctx context.Context, gen uint64) {
 	if c.endWatch(gen) && ctx.Err() != nil {
 		c.unwatch(gen)
@@ -573,7 +571,6 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 	case opEvent:
 		r := wire.NewReader(payload[1:])
 		gen := r.Uvarint()
-		streamSeq := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -584,23 +581,21 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 		c.mu.Lock()
 		w := c.watches[gen]
 		if w != nil {
-			if streamSeq != w.next {
-				if w.pending == nil {
-					w.pending = make(map[uint64]sodee.JobEvent)
-				}
-				w.pending[streamSeq] = ev
-			} else {
-				c.deliverLocked(w, ev)
+			w.push(ev)
+			if ev.Terminal() && !w.all {
+				w.term = &ev
+				delete(c.watches, gen)
+				w.finish()
 			}
 		}
 		c.mu.Unlock()
-		if w == nil && streamSeq == 0 {
+		if w == nil {
 			// A stream this client has already ended. If its opening
 			// request was abandoned, the unwatch sent then may have reached
 			// the daemon before the stream opened there, leaving it
-			// streaming to nobody; the stream's first frame says it is
-			// open, so say it again. Generations are never reused, so this
-			// cannot end a live stream.
+			// streaming to nobody; a frame says it is still open, so say
+			// it again. Generations are never reused, so this cannot end a
+			// live stream, and the daemon ignores gens it does not hold.
 			c.unwatch(gen)
 		}
 		return nil, nil
@@ -614,28 +609,6 @@ func (c *Client) handleControl(from int, payload []byte) ([]byte, error) {
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("daemon client: unexpected control op %d", payload[0])
-	}
-}
-
-// deliverLocked delivers in-order event ev and any early arrivals it
-// unblocks; a terminal ends a per-job stream. The caller holds c.mu.
-func (c *Client) deliverLocked(w *clientWatch, ev sodee.JobEvent) {
-	for {
-		w.next++
-		w.push(ev)
-		if ev.Terminal() && !w.all {
-			t := ev
-			w.term = &t
-			delete(c.watches, w.gen)
-			w.finish()
-			return
-		}
-		next, ok := w.pending[w.next]
-		if !ok {
-			return
-		}
-		delete(w.pending, w.next)
-		ev = next
 	}
 }
 

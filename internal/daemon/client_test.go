@@ -256,9 +256,10 @@ func TestControlProtocolVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, v := range []uint64{ProtocolVersion + 41, 4} {
-		// v4 clients send submits without a stream generation; a v5
-		// daemon must refuse them at the hello, not misread their frames.
+	for _, v := range []uint64{ProtocolVersion + 41, 4, 5} {
+		// v4 clients send submits without a stream generation, and v5
+		// peers number their event frames; a v6 daemon must refuse both
+		// at the hello, not misread their frames.
 		hello := wire.NewWriter(4)
 		hello.Byte(opHello)
 		hello.Uvarint(v)
@@ -446,10 +447,10 @@ func TestHeldStreamsBounded(t *testing.T) {
 
 // TestAbandonedOpenIsUnwatched: a stream whose opening request the client
 // abandoned (its ctx ended before the reply) must not go on streaming to
-// nobody. The daemon handles each frame on its own goroutine, so the
-// client's unwatch can run before the open registers the stream; here
-// that order is forced for a WatchAll, and the orphan must still drain
-// once it carries an event.
+// nobody. The daemon handles the client's one-way unwatch concurrently
+// with the opening request, so the unwatch can run before the open
+// registers the stream; here that order is forced for a WatchAll, and the
+// orphan must still drain once it carries an event.
 func TestAbandonedOpenIsUnwatched(t *testing.T) {
 	d := bootOne(t, 1)
 	ctl, err := Dial(d.Addr())

@@ -57,7 +57,11 @@ import (
 // and open the job's event stream in the same request, so a watched job
 // needs one round trip instead of three (submit, watch, wait). Clients
 // send opUnwatch one-way.
-const ProtocolVersion = 5
+//
+// v6: opEvent and opTapEvent frames carry no sequence number. The
+// transport hands one peer's one-way control frames to the handler in
+// send order, so neither the client nor the WatchAll hub reorders them.
+const ProtocolVersion = 6
 
 // Control operations (first byte of a KindControl payload).
 const (
@@ -71,12 +75,12 @@ const (
 	opHello       byte = 8  // {version} → {version}: protocol handshake
 	opWatch       byte = 9  // {job, gen} → ack; events stream as opEvent frames
 	opUnwatch     byte = 10 // {gen}: cancel one watch stream (clients send it one-way)
-	opEvent       byte = 11 // daemon → client, one-way: {gen, seq, JobEvent}
+	opEvent       byte = 11 // daemon → client, one-way: {gen, JobEvent}
 	opEventEnd    byte = 12 // daemon → client, one-way: {gen} stream over
 	opSubmitChain byte = 13 // {method, args..., gen} → job id, chain-planned placement; streams like opSubmit
 	opWatchAll    byte = 14 // {gen} → ack; every cluster event streams as opEvent frames
 	opTap         byte = 15 // daemon ↔ daemon: {on} start/stop forwarding my bus firehose to you
-	opTapEvent    byte = 16 // daemon → daemon, one-way: {seq, JobEvent} tap traffic
+	opTapEvent    byte = 16 // daemon → daemon, one-way: {JobEvent} tap traffic
 	opMetrics     byte = 17 // → metrics-registry snapshot (obs.EncodeSnapshot)
 	opTrace       byte = 18 // {job} → span timeline (obs.EncodeSpans); error if no trace
 )
@@ -191,12 +195,12 @@ type Daemon struct {
 	// (local bus firehose + one tap per peer daemon) out to every
 	// opWatchAll client; it spins up lazily on the first WatchAll and
 	// lives until Stop. tapsOut are the streams *we* serve to peers whose
-	// hubs tapped us; tapsIn reorder each peer's one-way opTapEvent
-	// frames back into publish order before they enter the hub.
+	// hubs tapped us; tapsIn are the peers we tapped, whose opTapEvent
+	// frames the transport hands over in publish order.
 	hubMu   sync.Mutex
 	hub     *sodee.EventFan
 	hubStop func()
-	tapsIn  map[int]*tapReorder
+	tapsIn  map[int]bool
 	tapsOut map[int]func()
 
 	// ctlRequests counts control frames received, per op (nil for ops
@@ -218,17 +222,7 @@ type watchKey struct {
 }
 
 type watchEntry struct {
-	job    uint64
 	cancel func()
-}
-
-// tapReorder re-imposes one tap's publish order: opTapEvent frames are
-// one-way and handled concurrently at the receiver, so events carry a
-// per-tap sequence number and buffer here until their turn.
-type tapReorder struct {
-	mu      sync.Mutex
-	next    uint64
-	pending map[uint64]sodee.JobEvent
 }
 
 // New boots a daemon: listen, build the node, start the heartbeat (and,
@@ -296,7 +290,7 @@ func New(cfg Config) (*Daemon, error) {
 		node:    n,
 		addrs:   make(map[int]string),
 		watches: make(map[watchKey]*watchEntry),
-		tapsIn:  make(map[int]*tapReorder),
+		tapsIn:  make(map[int]bool),
 		tapsOut: make(map[int]func()),
 		stopCh:  make(chan struct{}),
 	}
@@ -413,7 +407,7 @@ func (d *Daemon) Stop() {
 			taps = append(taps, cancel)
 		}
 		d.tapsOut = make(map[int]func())
-		d.tapsIn = make(map[int]*tapReorder)
+		d.tapsIn = make(map[int]bool)
 		d.hubMu.Unlock()
 		if hubStop != nil {
 			hubStop()
@@ -452,7 +446,7 @@ func (d *Daemon) addMember(id int, addr string) (isNew bool) {
 	// newcomers and rejoining peers whose old tap died with their
 	// connection.
 	d.hubMu.Lock()
-	needTap := d.hub != nil && d.tapsIn[id] == nil
+	needTap := d.hub != nil && !d.tapsIn[id]
 	d.hubMu.Unlock()
 	if needTap {
 		d.requestTap(id)
@@ -480,14 +474,6 @@ func (d *Daemon) roster(includeDead bool) map[int]string {
 	}
 	out[d.cfg.ID] = d.tr.Addr()
 	return out
-}
-
-// MemberAddr returns the recorded address of a member.
-func (d *Daemon) MemberAddr(id int) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	addr, ok := d.addrs[id]
-	return addr, ok
 }
 
 // Join connects this daemon into the cluster reachable at seedAddr: it
@@ -603,7 +589,10 @@ func (d *Daemon) handleControl(from int, payload []byte) ([]byte, error) {
 	case opJoin:
 		return d.handleJoin(r)
 	case opNewMember:
-		return nil, d.handleNewMember(r)
+		// Dialing the newcomer can take seconds; the peer's later one-way
+		// frames (its tap events) must not queue behind it.
+		go d.handleNewMember(r) //nolint:errcheck // gossip is best effort
+		return nil, nil
 	case opMembers:
 		return d.handleMembers()
 	case opSubmit:
@@ -927,7 +916,7 @@ func (d *Daemon) watchJob(peer int, gen, jobID uint64) error {
 		return fmt.Errorf("daemon: no job %d", jobID)
 	}
 	key := watchKey{peer: peer, gen: gen}
-	entry := &watchEntry{job: jobID, cancel: cancel}
+	entry := &watchEntry{cancel: cancel}
 	d.watchMu.Lock()
 	if old := d.watches[key]; old != nil {
 		old.cancel() // client reused a generation; end the orphan
@@ -1010,14 +999,14 @@ func (d *Daemon) ensureHub() *sodee.EventFan {
 
 // requestTap asks peer to forward its bus firehose here (best effort —
 // an unreachable peer's events are simply absent until it rejoins and is
-// re-tapped). The reorder state resets: a fresh tap numbers from zero.
+// re-tapped).
 func (d *Daemon) requestTap(peer int) {
 	d.hubMu.Lock()
 	if d.hub == nil {
 		d.hubMu.Unlock()
 		return
 	}
-	d.tapsIn[peer] = &tapReorder{pending: make(map[uint64]sodee.JobEvent)}
+	d.tapsIn[peer] = true
 	d.hubMu.Unlock()
 	w := wire.NewWriter(4)
 	w.Byte(opTap)
@@ -1052,7 +1041,6 @@ func (d *Daemon) handleTap(from int, r *wire.Reader) ([]byte, error) {
 	d.hubMu.Unlock()
 	go func() {
 		defer cancel()
-		var seq uint64
 		for {
 			select {
 			case ev, ok := <-ch:
@@ -1061,8 +1049,6 @@ func (d *Daemon) handleTap(from int, r *wire.Reader) ([]byte, error) {
 				}
 				w := wire.NewWriter(96)
 				w.Byte(opTapEvent)
-				w.Uvarint(seq)
-				seq++
 				w.Raw(sodee.EncodeJobEvent(ev))
 				if err := d.tr.Send(from, netsim.KindControl, w.Bytes()); err != nil {
 					return
@@ -1075,40 +1061,19 @@ func (d *Daemon) handleTap(from int, r *wire.Reader) ([]byte, error) {
 	return nil, nil
 }
 
-// handleTapEvent receives one frame of a peer's tap stream, re-imposes
-// the tap's publish order, and feeds the hub. Frames from a tap we no
-// longer expect (peer re-tapped, hub gone) are dropped.
+// handleTapEvent feeds one event of a peer's tap stream, which arrives
+// in publish order, to the hub. Frames from a peer we no longer tap (hub
+// gone, peer's connection died) are dropped.
 func (d *Daemon) handleTapEvent(from int, payload []byte) error {
-	r := wire.NewReader(payload)
-	seq := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	ev, err := sodee.DecodeJobEvent(payload[r.Pos():])
+	ev, err := sodee.DecodeJobEvent(payload)
 	if err != nil {
 		return err
 	}
 	d.hubMu.Lock()
-	hub, ro := d.hub, d.tapsIn[from]
+	hub, tapped := d.hub, d.tapsIn[from]
 	d.hubMu.Unlock()
-	if hub == nil || ro == nil {
-		return nil
-	}
-	ro.mu.Lock()
-	ro.pending[seq] = ev
-	var ready []sodee.JobEvent
-	for {
-		next, ok := ro.pending[ro.next]
-		if !ok {
-			break
-		}
-		delete(ro.pending, ro.next)
-		ro.next++
-		ready = append(ready, next)
-	}
-	ro.mu.Unlock()
-	for _, e := range ready {
-		hub.Publish(e)
+	if hub != nil && tapped {
+		hub.Publish(ev)
 	}
 	return nil
 }
@@ -1177,10 +1142,8 @@ func (d *Daemon) streamEvents(key watchKey, entry *watchEntry, ch <-chan sodee.J
 			d.sendEventEnd(key.peer, key.gen)
 		}
 	}()
-	// Frames carry a per-stream sequence number: one-way transport frames
-	// are handled concurrently at the receiver, so the client re-imposes
-	// this order before delivering events.
-	var streamSeq uint64
+	// One goroutine sends the whole stream, its opEventEnd included, so
+	// the client's transport hands the frames over in this order.
 	for {
 		select {
 		case ev, ok := <-ch:
@@ -1190,8 +1153,6 @@ func (d *Daemon) streamEvents(key watchKey, entry *watchEntry, ch <-chan sodee.J
 			w := wire.NewWriter(96)
 			w.Byte(opEvent)
 			w.Uvarint(key.gen)
-			w.Uvarint(streamSeq)
-			streamSeq++
 			w.Raw(sodee.EncodeJobEvent(ev))
 			if err := d.tr.Send(key.peer, netsim.KindControl, w.Bytes()); err != nil {
 				return

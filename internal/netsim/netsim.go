@@ -54,8 +54,9 @@ const (
 	KindRehome                           // origin re-homing: replicate/discard a job's origin state at its successor
 )
 
-// Handler serves a request and returns the reply payload. Handlers run on
-// their own goroutine per request and may issue nested calls.
+// Handler serves a request and returns the reply payload. Request
+// handlers run on their own goroutine per request and may issue nested
+// calls; one-way frames are handled in order (see Transport).
 type Handler func(from int, payload []byte) ([]byte, error)
 
 // Sentinel errors for delivery failures; match with errors.Is. The crash
@@ -127,6 +128,12 @@ type Stats struct {
 
 // Transport is the node-facing interface; both the in-process simulated
 // network and the TCP transport implement it.
+//
+// Delivery order: one-way frames of one kind from one peer are handled
+// one at a time, in the order they were sent (a Send that returned before
+// the next began is handled first). A handler that blocks holds up only
+// the frames queued behind it. Frames of another kind or from another
+// peer, and every Call's request and reply, are handled concurrently.
 type Transport interface {
 	// NodeID returns the local node id.
 	NodeID() int
@@ -136,6 +143,56 @@ type Transport interface {
 	Call(to int, kind MsgKind, payload []byte) ([]byte, error)
 	// Send delivers a one-way message (blocking for the transfer time).
 	Send(to int, kind MsgKind, payload []byte) error
+}
+
+// inbox gives one-way frames the Transport's delivery order: one queue
+// per (peer, kind), drained by a goroutine that runs only while its queue
+// holds frames. The zero value is ready to use.
+type inbox struct {
+	mu     sync.Mutex
+	queues map[inboxKey][]inboxFrame
+}
+
+type inboxKey struct {
+	peer int
+	kind MsgKind
+}
+
+type inboxFrame struct {
+	h       Handler
+	payload []byte
+}
+
+// deliver queues payload for h behind the earlier frames of kind from
+// peer, starting the queue's drain goroutine if it is idle.
+func (b *inbox) deliver(peer int, kind MsgKind, h Handler, payload []byte) {
+	key := inboxKey{peer, kind}
+	b.mu.Lock()
+	if b.queues == nil {
+		b.queues = make(map[inboxKey][]inboxFrame)
+	}
+	q, busy := b.queues[key]
+	b.queues[key] = append(q, inboxFrame{h, payload})
+	b.mu.Unlock()
+	if !busy {
+		go b.drain(key)
+	}
+}
+
+// drain handles key's frames in order and exits, dropping the queue,
+// once it is empty.
+func (b *inbox) drain(key inboxKey) {
+	b.mu.Lock()
+	for q := b.queues[key]; len(q) > 0; q = b.queues[key] {
+		f := q[0]
+		q[0] = inboxFrame{}
+		b.queues[key] = q[1:]
+		b.mu.Unlock()
+		f.h(key.peer, f.payload) //nolint:errcheck // one-way: errors are the handler's problem
+		b.mu.Lock()
+	}
+	delete(b.queues, key)
+	b.mu.Unlock()
 }
 
 // Network is the in-process simulated cluster fabric.
@@ -187,13 +244,6 @@ func (n *Network) SetLink(a, b int, spec LinkSpec) {
 	n.links[[2]int{b, a}] = &link{spec: spec}
 }
 
-// SetDirectedLink configures one direction only.
-func (n *Network) SetDirectedLink(from, to int, spec LinkSpec) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]int{from, to}] = &link{spec: spec}
-}
-
 // LinkSpecBetween returns the effective spec from a to b.
 func (n *Network) LinkSpecBetween(a, b int) LinkSpec {
 	n.mu.Lock()
@@ -227,15 +277,9 @@ func (n *Network) Node(id int) *Endpoint {
 		net:      n,
 		id:       id,
 		handlers: make(map[MsgKind]Handler),
-		waiting:  make(map[uint64]chan rpcReply),
 	}
 	n.endpoints[id] = ep
 	return ep
-}
-
-type rpcReply struct {
-	payload []byte
-	err     string
 }
 
 // Endpoint is one node's attachment to the fabric.
@@ -245,8 +289,7 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	handlers map[MsgKind]Handler
-	waiting  map[uint64]chan rpcReply
-	corr     atomic.Uint64
+	inbox    inbox
 }
 
 // NodeID returns the endpoint's node id.
@@ -313,8 +356,8 @@ func (e *Endpoint) Call(to int, kind MsgKind, payload []byte) ([]byte, error) {
 }
 
 // Send delivers a one-way message, blocking until the bytes are on the
-// wire. The remote handler runs asynchronously; its return payload is
-// discarded.
+// wire. The remote handler runs asynchronously, in order behind the
+// earlier frames of kind from this node; its return payload is discarded.
 func (e *Endpoint) Send(to int, kind MsgKind, payload []byte) error {
 	peer, err := e.peer(to)
 	if err != nil {
@@ -327,7 +370,7 @@ func (e *Endpoint) Send(to int, kind MsgKind, payload []byte) error {
 		return fmt.Errorf("netsim: node %d has no handler for kind %d", to, kind)
 	}
 	e.transfer(to, len(payload))
-	go h(e.id, payload) //nolint:errcheck // one-way: delivery errors are the handler's problem
+	peer.inbox.deliver(e.id, kind, h, payload)
 	return nil
 }
 

@@ -42,6 +42,7 @@ type TCPTransport struct {
 	listener net.Listener
 
 	corr      atomic.Uint64
+	inbox     inbox // one-way frames, in order per (peer, kind)
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
@@ -398,6 +399,13 @@ func (t *TCPTransport) readLoop(peerID int, c *tcpConn) {
 		t.mu.Lock()
 		h := t.handlers[kind]
 		t.mu.Unlock()
+		if corr == 0 {
+			// One-way: handled after the peer's earlier frames of kind.
+			if h != nil {
+				t.inbox.deliver(peerID, kind, h, payload)
+			}
+			continue
+		}
 		go func(kind MsgKind, corr uint64, payload []byte) {
 			var reply []byte
 			var herr error
@@ -405,9 +413,6 @@ func (t *TCPTransport) readLoop(peerID int, c *tcpConn) {
 				herr = fmt.Errorf("tcp: node %d has no handler for kind %d", t.id, kind)
 			} else {
 				reply, herr = h(peerID, payload)
-			}
-			if corr == 0 {
-				return // one-way message
 			}
 			if t.closed.Load() {
 				// The transport died while the handler ran. A crash must be
@@ -513,7 +518,8 @@ func (t *TCPTransport) CallContext(ctx context.Context, to int, kind MsgKind, pa
 	return rep.payload, nil
 }
 
-// Send delivers a one-way message.
+// Send delivers a one-way message; the peer handles it in order behind
+// the earlier frames of kind from this node.
 func (t *TCPTransport) Send(to int, kind MsgKind, payload []byte) error {
 	c, err := t.peer(to)
 	if err != nil {
